@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import oracles
-from .green import GreenResult, dos, green_local, green_sweep
+from .green import GreenResult, dos, dos_from_result, green_local, green_sweep
 from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
@@ -50,6 +50,10 @@ def _record(res: GreenResult) -> dict:
         "piece_j": res.piece_j,
         "flags": _flags(res),
     }
+
+
+def _exit_code(results: list[GreenResult]) -> int:
+    return 2 if any(r.divergent or not r.converged for r in results) else 0
 
 
 def _emit(records: list[dict], fmt: str, out_path: str | None,
@@ -87,7 +91,7 @@ def _cfg(args) -> QuadratureConfig:
 def cmd_eval(args) -> int:
     res = green_local(args.d, args.omega, _cfg(args))
     _emit([_record(res)], args.format, None)
-    return 2 if (res.divergent or not res.converged) else 0
+    return _exit_code([res])
 
 
 def cmd_dos(args) -> int:
@@ -95,15 +99,14 @@ def cmd_dos(args) -> int:
     rec = {
         "d": res.d,
         "omega": res.omega,
-        "dos": math.inf if (res.divergent and res.value.imag == -math.inf)
-        else (math.nan if res.divergent else -res.value.imag / math.pi),
+        "dos": dos_from_result(res),
         "abs_error": res.abs_error / math.pi,
         "piece_j": res.piece_j,
         "flags": _flags(res),
     }
     _emit([rec], args.format, None,
           fields=["d", "omega", "dos", "abs_error", "piece_j", "flags"])
-    return 2 if (res.divergent or not res.converged) else 0
+    return _exit_code([res])
 
 
 def cmd_sweep(args) -> int:
@@ -117,7 +120,7 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return _exit_code(results)
 
 
 def cmd_moments(args) -> int:

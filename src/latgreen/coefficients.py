@@ -12,8 +12,8 @@ so no floating-point cancellation can ever occur.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -74,39 +74,31 @@ def staircase_j(d: int, omega: float) -> int:
     return max(-1, min(d, j))
 
 
-def _alternating_sum(d: int, m: int, n_lo: int, n_hi: int) -> int:
-    # sum_{n=n_lo}^{n_hi} (-1)^n binom(d,n) binom(n,m), exact integers
-    total = 0
-    for n in range(n_lo, n_hi + 1):
-        term = math.comb(d, n) * math.comb(n, m)
-        total += -term if n & 1 else term
-    return total
+def _alternating_sum(d: int, m: int, n_hi: int) -> int:
+    # sum_{n=m}^{n_hi} (-1)^n binom(d,n) binom(n,m)
+    #   = (-1)^{n_hi} binom(d,m) binom(d-m-1, n_hi-m)   for m < d;
+    # the only m = d term is n = d, where binom(-1, 0) = 1 is outside math.comb
+    if m == d:
+        return (-1) ** d
+    magnitude = math.comb(d, m) * math.comb(d - m - 1, n_hi - m)
+    return -magnitude if n_hi & 1 else magnitude
 
 
-_cache: dict[tuple[int, int], CoefficientTable] = {}
-_cache_lock = threading.Lock()
-
-
+# typed: True and numpy integers equal to a cached int must still reach the
+# validation below instead of hitting the cache
+@functools.lru_cache(maxsize=None, typed=True)
 def coefficient_table(d: int, j: int) -> CoefficientTable:
     """Exact coefficient table for piece j of dimension d, cached by (d, j)."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if not isinstance(j, int) or isinstance(j, bool) or not -1 <= j <= d:
         raise DomainError(f"j must lie in [-1, {d}], got {j!r}")
-    key = (d, j)
-    table = _cache.get(key)
-    if table is not None:
-        return table
-
     c = tuple(
-        PhasedInteger(_alternating_sum(d, m, m, j), (-(d + m)) % 4)
+        PhasedInteger(_alternating_sum(d, m, j), (-(d + m)) % 4)
         for m in range(j + 1)
     )
     dcoef = tuple(
-        PhasedInteger(_alternating_sum(d, m, m, d - j - 1), (d + m) % 4)
+        PhasedInteger(_alternating_sum(d, m, d - j - 1), (d + m) % 4)
         for m in range(d - j)
     )
-    table = CoefficientTable(d=d, j=j, c=c, dcoef=dcoef)
-    with _cache_lock:
-        _cache.setdefault(key, table)
-    return table
+    return CoefficientTable(d=d, j=j, c=c, dcoef=dcoef)

@@ -18,7 +18,10 @@ from .integrand import (
 )
 from .quadrature import QuadratureConfig, integrate_semiinfinite
 
-__all__ = ["GreenResult", "green_local", "green_sweep", "dos", "VAN_HOVE_ADJACENT_TOL"]
+__all__ = [
+    "GreenResult", "green_local", "green_sweep", "dos", "dos_from_result",
+    "VAN_HOVE_ADJACENT_TOL",
+]
 
 # Results closer than this to a van Hove frequency get flagged: accuracy
 # degrades there because the local |omega - omega_v|^{d/2-1} behaviour is
@@ -84,13 +87,17 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     return [green_local(d, w, cfg) for w in omegas]
 
 
-def dos(d: int, omega: float, cfg: QuadratureConfig | None = None) -> float:
-    """Density of states A_d(omega) = -Im G_d(omega) / pi.
+def dos_from_result(res: GreenResult) -> float:
+    """Density of states A_d = -Im G_d / pi of one evaluated result.
 
     Returns +inf where the DOS itself diverges (d=1 band edges, d=2 centre)
     and nan at a divergent point whose DOS is not recoverable (d=2 edges).
     """
-    res = green_local(d, omega, cfg)
     if res.divergent:
         return math.inf if res.value.imag == -math.inf else math.nan
     return -res.value.imag / math.pi
+
+
+def dos(d: int, omega: float, cfg: QuadratureConfig | None = None) -> float:
+    """Density of states A_d(omega); see ``dos_from_result``."""
+    return dos_from_result(green_local(d, omega, cfg))

@@ -1,12 +1,16 @@
 """Double-exponential quadrature for (0, inf) with endpoint log singularities.
 
-Strategy per integral:
+One rule, tanh-sinh, serves both parts of an integral over (0, inf):
 
-* on ``(0, split_point]`` a tanh-sinh rule, which integrates the |ln tau|^d
-  endpoint behaviour at spectral accuracy;
-* on ``[split_point, inf)`` an exp-sinh rule for exponentially decaying
-  tails, or the substitution ``tau = split_point/u`` followed by tanh-sinh
-  for power-law tails.
+* on ``(0, split_point]`` it integrates the |ln tau|^d endpoint behaviour at
+  spectral accuracy;
+* on ``[split_point, inf)`` it runs after the substitution
+  ``tau = split_point/u``, which maps the tail to ``(0, 1]``: an exponential
+  tail vanishes faster than any power as u -> 0, and the u^{d/2-2} endpoint
+  behaviour of a power-law tail is integrable for d >= 3.
+
+Every node therefore depends only on the level and ``split_point``, never
+on the integrand.
 
 Levels halve the step of the underlying trapezoidal sum and reuse all
 previous evaluations.  The error estimate is the difference of the last two
@@ -33,14 +37,12 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 
-# Node generation limits: |v| = (pi/2)sinh|u| capped so that e^{-2v} stays
-# normal (tanh-sinh) and e^{v} representable (exp-sinh).
+# Node generation limit: |v| = (pi/2)sinh|u| capped so that e^{-2v} stays
+# normal.
 _TS_UMAX = 6.08
-_ES_UMAX = 6.79
 _BASE_H = 1.0
 
 _ts_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_es_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,13 @@ class QuadratureResult:
     converged: bool
 
 
-def _new_us(level: int, umax: float) -> np.ndarray:
+def _new_us(level: int) -> np.ndarray:
     # new trapezoidal abscissae introduced at this refinement level
     h = _BASE_H / 2**level
     if level == 0:
-        n = int(math.floor(umax / h))
+        n = int(math.floor(_TS_UMAX / h))
         return h * np.arange(-n, n + 1)
-    ks = np.arange(1, int(math.floor(umax / h)) + 1, 2)
+    ks = np.arange(1, int(math.floor(_TS_UMAX / h)) + 1, 2)
     return np.concatenate((-h * ks[::-1], h * ks))
 
 
@@ -87,7 +89,7 @@ def _ts_nodes(level: int):
     cached = _ts_cache.get(level)
     if cached is not None:
         return cached
-    u = _new_us(level, _TS_UMAX)
+    u = _new_us(level)
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
     lo = e / (1.0 + e)          # distance to the nearer endpoint
@@ -98,22 +100,6 @@ def _ts_nodes(level: int):
     keep = (alpha > 0) & (alphac > 0) & (w > 0)
     nodes = (alpha[keep], alphac[keep], w[keep])
     _ts_cache.setdefault(level, nodes)
-    return nodes
-
-
-def _es_nodes(level: int):
-    """Exp-sinh nodes on (0, inf): (e^v, weight) with x = scale * e^v."""
-    cached = _es_cache.get(level)
-    if cached is not None:
-        return cached
-    u = _new_us(level, _ES_UMAX)
-    v = 0.5 * math.pi * np.sinh(u)
-    keep = np.abs(v) < 690.0
-    v = v[keep]
-    ev = np.exp(v)
-    w = 0.5 * math.pi * np.cosh(u[keep]) * ev
-    nodes = (ev, w)
-    _es_cache.setdefault(level, nodes)
     return nodes
 
 
@@ -166,20 +152,6 @@ def _tanh_sinh(g, cfg: QuadratureConfig) -> QuadratureResult:
     return _refine(level_terms, cfg)
 
 
-def _exp_sinh(f, start: float, scale: float, cfg: QuadratureConfig) -> QuadratureResult:
-    def level_terms(level):
-        ev, w = _es_nodes(level)
-        x = start + scale * ev
-        keep = np.isfinite(x)
-        # non-finite x only arises where the decaying integrand is exactly 0
-        if not keep.all():
-            ev, w, x = ev[keep], w[keep], x[keep]
-        vals = scale * w * np.asarray(f(x))
-        return vals.sum(), np.abs(vals).sum(), x.size
-
-    return _refine(level_terms, cfg)
-
-
 def _combine(*parts: QuadratureResult) -> QuadratureResult:
     return QuadratureResult(
         value=sum(p.value for p in parts),
@@ -206,7 +178,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
 
 
 def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integral of f over (0, inf) with tail handling chosen by its class.
+    """Integral of f over (0, inf); ``tail`` only decides whether it exists.
 
     Raises DivergentIntegralError for a divergent tail; a non-converged
     result is returned with ``converged=False`` rather than raised.
@@ -221,18 +193,10 @@ def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = No
 
     head = _tanh_sinh(g_head, cfg)
 
-    if tail.kind is TailKind.EXPONENTIAL:
-        rate = tail.parameter
-        scale = min(max(1.0 / rate, 1e-3), 1e6) if rate > 0 else 1.0
-        tail_part = _exp_sinh(f, s, scale, cfg)
-    else:
-        # tau = s/u maps [s, inf) to (0, 1]; the u^{d/2-2} endpoint behaviour
-        # is integrable for d >= 3 and handled by tanh-sinh.  Evaluated as
-        # (f*tau)/u to keep every intermediate in range.
-        def g_tail(alpha, alphac):
-            tau = s / alpha
-            return (np.asarray(f(tau)) * tau) / alpha
+    # tau = s/u maps [s, inf) to (0, 1]; evaluated as (f*tau)/u to keep
+    # every intermediate in range.
+    def g_tail(alpha, alphac):
+        tau = s / alpha
+        return (np.asarray(f(tau)) * tau) / alpha
 
-        tail_part = _tanh_sinh(g_tail, cfg)
-
-    return _combine(head, tail_part)
+    return _combine(head, _tanh_sinh(g_tail, cfg))

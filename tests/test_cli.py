@@ -61,7 +61,7 @@ def test_sweep_stdout_order(capsys):
     code, out = run_cli(capsys, "sweep", "--d", "2", "--omega-min", "-1",
                         "--omega-max", "1", "--steps", "5",
                         "--rel-tol", "1e-10")
-    assert code == 0
+    assert code == 2  # the divergent centre record sets the exit code
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [float(r["omega"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert rows[2]["flags"] != ""  # d=2 centre divergence flagged in-table

@@ -28,6 +28,44 @@ def _d_direct(d: int, j: int, m: int) -> complex:
     )
 
 
+def _gaussian_direct(d: int, m: int, n_hi: int, exponent) -> tuple[int, int]:
+    # exact (re, im) of sum_{n=m}^{n_hi} binom(d,n) binom(n,m) i^exponent(n)
+    re = im = 0
+    for n in range(m, n_hi + 1):
+        term = math.comb(d, n) * math.comb(n, m)
+        quarter = exponent(n) % 4
+        if quarter == 0:
+            re += term
+        elif quarter == 1:
+            im += term
+        elif quarter == 2:
+            re -= term
+        else:
+            im -= term
+    return re, im
+
+
+def _gaussian(coeff: PhasedInteger) -> tuple[int, int]:
+    m = coeff.magnitude
+    return ((m, 0), (0, m), (-m, 0), (0, -m))[coeff.phase]
+
+
+def test_exact_against_direct_integer_sum():
+    # exact integers up to d = 40, where magnitudes exceed 2^53 and the
+    # complex-float comparison below cannot be exact
+    for d in range(1, 41):
+        for j in range(-1, d + 1):
+            table = coefficient_table(d, j)
+            assert [_gaussian(c) for c in table.c] == [
+                _gaussian_direct(d, m, j, lambda n: 2 * n - d - m)
+                for m in range(j + 1)
+            ]
+            assert [_gaussian(c) for c in table.dcoef] == [
+                _gaussian_direct(d, m, d - j - 1, lambda n: d + m - 2 * n)
+                for m in range(d - j)
+            ]
+
+
 def test_phased_integer_quarter_turns():
     assert PhasedInteger(5, 0).complex_value == 5
     assert PhasedInteger(5, 1).complex_value == 5j

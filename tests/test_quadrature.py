@@ -24,17 +24,27 @@ def _k0_vec(tau):
 
 
 def test_exponential_unit_integral():
-    res = integrate_semiinfinite(lambda t: np.exp(-t), EXP_TAIL)
-    assert res.converged
-    assert res.value.real == pytest.approx(1.0, abs=1e-14)
-    assert abs(res.value.imag) < 1e-15
+    # integral of r e^{-rt} is 1 for slow and fast decay alike
+    for rate in (1.0, 1e-3, 50.0):
+        res = integrate_semiinfinite(
+            lambda t: rate * np.exp(-rate * t), TailClass(TailKind.EXPONENTIAL, rate)
+        )
+        assert res.converged
+        assert res.value.real == pytest.approx(1.0, abs=1e-14)
+        assert abs(res.value.imag) < 1e-15
 
 
 def test_k0_total_mass():
-    # integral of (2/pi) K0 over (0, inf) is exactly 1
-    res = integrate_semiinfinite(lambda t: (2.0 / math.pi) * _k0_vec(t), EXP_TAIL)
-    assert res.converged
-    assert res.value.real == pytest.approx(1.0, abs=5e-14)
+    # integral of (2/pi) K0(t) e^{-rt} over (0, inf) is
+    # (2/pi) arccos(r) / sqrt(1 - r^2), exactly 1 at r = 0
+    for rate in (0.0, 0.5):
+        exact = (2.0 / math.pi) * math.acos(rate) / math.sqrt(1.0 - rate**2)
+        res = integrate_semiinfinite(
+            lambda t: (2.0 / math.pi) * _k0_vec(t) * np.exp(-rate * t),
+            TailClass(TailKind.EXPONENTIAL, 1.0 + rate),
+        )
+        assert res.converged
+        assert res.value.real == pytest.approx(exact, abs=5e-14)
 
 
 def test_log_weighted_exponential():
