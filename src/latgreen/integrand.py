@@ -6,6 +6,10 @@ single analytically-formed net exponent q = 2m - d -/+ omega, which is always
 <= 0 (and exactly 0 only at a van Hove frequency).  Exponentials are never
 applied to K and I separately, so neither overflow nor underflow can occur
 before the final, decaying factor.
+
+Only q depends on omega.  The Bessel pair lives in a ``BesselTable`` built
+once per set of nodes, and ``eval_terms`` evaluates every frequency of one
+piece on such a table as one (frequencies x nodes) block.
 """
 from __future__ import annotations
 
@@ -24,8 +28,11 @@ __all__ = [
     "IntegrandSpec",
     "TailKind",
     "TailClass",
+    "BesselTable",
+    "bessel_table",
     "build_integrand",
     "eval_integrand",
+    "eval_terms",
     "tail_class",
     "VAN_HOVE_SNAP_TOL",
     "LOG_SPACE_POWER",
@@ -98,49 +105,80 @@ def build_integrand(d: int, omega: float) -> IntegrandSpec:
     return IntegrandSpec(d=d, omega=omega, j=j, terms=tuple(terms))
 
 
+@dataclass(frozen=True)
+class BesselTable:
+    """The scaled pair kbar = (2/pi) k0e(tau), ibar = 2 i0e(tau) and their
+    logarithms on fixed nodes tau (1-D)."""
+
+    tau: np.ndarray
+    kbar: np.ndarray
+    ibar: np.ndarray
+    log_kbar: np.ndarray
+    log_ibar: np.ndarray
+
+
+def bessel_table(tau) -> BesselTable:
+    """Evaluate the scaled Bessel pair once on the nodes ``tau`` (1-D)."""
+    tau = np.asarray(tau, dtype=float)
+    kbar = (2.0 / math.pi) * k0e(tau)
+    ibar = 2.0 * i0e(tau)
+    return BesselTable(tau, kbar, ibar, np.log(kbar), np.log(ibar))
+
+
+def eval_terms(spec: IntegrandSpec, exponents: np.ndarray, table: BesselTable) -> np.ndarray:
+    """Evaluate the integrand of several frequencies of one piece on a table.
+
+    ``spec`` is any spec of the piece: it supplies d and the coefficients,
+    which all frequencies of a piece share.  Row r of ``exponents`` holds
+    the term exponents (in ``spec.terms`` order) of the r-th frequency.
+    Returns the complex (rows x nodes) block ``(1/2^d) * sum_terms sign *
+    coeff * kbar^{d-m} ibar^m e^{exponent*tau}``.  Each element is computed
+    exactly as for a single frequency, so a row does not depend on the rows
+    it is batched with.  Underflowed terms contribute exactly 0; an overflow
+    shows as a non-finite value, which the quadrature flags.
+    """
+    d, tau = spec.d, table.tau
+    re = np.zeros((exponents.shape[0], tau.size))
+    im = np.zeros_like(re)
+    # kbar^{d-m} ibar^m (or its log) is shared by the two terms of each m
+    factors = {}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        qtau = exponents.T[:, :, None] * tau
+        for t, q in zip(spec.terms, qtau):
+            pk, pi_ = d - t.m, t.m
+            log_space = max(pk, pi_) >= LOG_SPACE_POWER
+            f = factors.get(t.m)
+            if f is None:
+                if log_space:
+                    f = pk * table.log_kbar + pi_ * table.log_ibar
+                else:
+                    f = table.kbar**pk * table.ibar**pi_
+                factors[t.m] = f
+            mag = np.exp(f + q) if log_space else f * np.exp(q)
+            w = t.sign * t.coeff.magnitude
+            phase = t.coeff.phase
+            if phase == 0:
+                re += w * mag
+            elif phase == 1:
+                im += w * mag
+            elif phase == 2:
+                re -= w * mag
+            else:
+                im -= w * mag
+        return (re + 1j * im) * 0.5**d
+
+
 def eval_integrand(spec: IntegrandSpec, tau):
     """Evaluate the integrand at tau (> 0, scalar or ndarray).
 
     Returns ``(1/2^d) * sum_terms sign * coeff * kbar^{d-m} ibar^m
-    e^{exponent*tau}`` as a complex scalar or complex ndarray.  Underflowed
-    terms contribute exactly 0.
+    e^{exponent*tau}`` as a complex scalar or a complex ndarray of tau's
+    shape; see ``eval_terms``.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
-    tau_arr = np.atleast_1d(tau_arr)
-
-    kbar = (2.0 / math.pi) * k0e(tau_arr)
-    ibar = 2.0 * i0e(tau_arr)
-    d = spec.d
-    log_kbar = log_ibar = None
-
-    re = np.zeros_like(tau_arr)
-    im = np.zeros_like(tau_arr)
-    for t in spec.terms:
-        pk, pi_ = d - t.m, t.m
-        if max(pk, pi_) >= LOG_SPACE_POWER:
-            if log_kbar is None:
-                log_kbar = np.log(kbar)
-                log_ibar = np.log(ibar)
-            with np.errstate(under="ignore"):
-                mag = np.exp(pk * log_kbar + pi_ * log_ibar + t.exponent * tau_arr)
-        else:
-            with np.errstate(under="ignore"):
-                mag = kbar**pk * ibar**pi_ * np.exp(t.exponent * tau_arr)
-        w = t.sign * t.coeff.magnitude
-        phase = t.coeff.phase
-        if phase == 0:
-            re += w * mag
-        elif phase == 1:
-            im += w * mag
-        elif phase == 2:
-            re -= w * mag
-        else:
-            im -= w * mag
-
-    scale = 0.5**d
-    out = (re + 1j * im) * scale
-    return complex(out[0]) if scalar else out
+    exponents = np.array([[t.exponent for t in spec.terms]])
+    out = eval_terms(spec, exponents, bessel_table(tau_arr.ravel()))[0]
+    return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 
 
 def tail_class(spec: IntegrandSpec) -> TailClass:

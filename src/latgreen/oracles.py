@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import j0
 
 from .errors import DomainError, TruncationTooCoarseError
-from .green import dos
+from .green import dos_from_result, green_sweep
 from .quadrature import QuadratureConfig, integrate_finite
 
 __all__ = [
@@ -136,6 +135,11 @@ def _split_points(lo: float, hi: float, interior: list[float]) -> list[float]:
 _SING_MARGIN = 1e-9
 
 
+def _dos_grid(d: int, x, cfg: QuadratureConfig) -> np.ndarray:
+    # A_d at every frequency of x (the nodes of an outer integral), as one sweep
+    return np.asarray([dos_from_result(r) for r in green_sweep(d, np.atleast_1d(x), cfg)])
+
+
 def _inner(cfg: QuadratureConfig) -> QuadratureConfig:
     # tolerance for the pointwise Green-function calls feeding an outer
     # integral: two orders tighter so pointwise noise does not accumulate
@@ -171,7 +175,7 @@ def dos_convolution(
     def a2(x):
         if d2 == 1:
             return np.asarray([_a1(v) for v in np.atleast_1d(x)])
-        return np.asarray([dos(d2, float(v), inner) for v in np.atleast_1d(x)])
+        return _dos_grid(d2, x, inner)
 
     total = 0.0
     if d1 == 1:
@@ -209,8 +213,7 @@ def dos_convolution(
     pts = _split_points(lo, hi, interior)
     for a, b in zip(pts, pts[1:]):
         r = integrate_finite(
-            lambda x: np.asarray([dos(d1, float(v), inner) for v in np.atleast_1d(x)])
-            * a2(omega - np.atleast_1d(x)),
+            lambda x: _dos_grid(d1, x, inner) * a2(omega - np.atleast_1d(x)),
             a + _SING_MARGIN,
             b - _SING_MARGIN,
             cfg,
@@ -231,15 +234,17 @@ def dos_weighted_integral(
     tolerances)."""
     cfg = cfg or QuadratureConfig.fast()
     inner = _inner(cfg)
+
+    def weights(x):
+        return np.asarray([weight(float(v)) for v in x])
+
     if d == 1:
         theta_max = 0.5 * math.pi - 8e-7  # keeps sin(theta) off the snap zone
 
         def g(th):
             th = np.atleast_1d(th)
             x = np.sin(th)
-            return np.asarray(
-                [dos(1, float(xi), inner) * weight(float(xi)) for xi in x]
-            ) * np.cos(th)
+            return _dos_grid(1, x, inner) * weights(x) * np.cos(th)
 
         total = 0.0
         for a, b in ((-theta_max, 0.0), (0.0, theta_max)):
@@ -249,9 +254,7 @@ def dos_weighted_integral(
     margin = edge_margin if d == 2 else 0.0
 
     def g(x):
-        return np.asarray(
-            [dos(d, float(v), inner) * weight(float(v)) for v in np.atleast_1d(x)]
-        )
+        return _dos_grid(d, x, inner) * weights(np.atleast_1d(x))
 
     total = 0.0
     pts = _van_hove_points(d)
@@ -309,10 +312,7 @@ def lorentz_broadened(
     margin = _SING_MARGIN if d <= 2 else 0.0
     for a, b in zip(pts, pts[1:]):
         r = integrate_finite(
-            lambda x: np.asarray(
-                [dos(d, float(v), inner) for v in np.atleast_1d(x)]
-            )
-            / (z - np.atleast_1d(x)),
+            lambda x: _dos_grid(d, x, inner) / (z - np.atleast_1d(x)),
             a + margin,
             b - margin,
             cfg,
@@ -340,6 +340,10 @@ def bessel_j_fourier(
             f"tail bound {tail_bound:.3e} exceeds tolerance {tol:.1e}; "
             f"increase tmax"
         )
+    # scipy is imported here, its only use, so that importing latgreen
+    # does not pay for scipy.special
+    from scipy.special import j0
+
     if n % 2:
         n += 1
     h = tmax / n

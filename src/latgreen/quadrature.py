@@ -17,6 +17,13 @@ previous evaluations.  The error estimate is the difference of the last two
 levels with a floor of one ulp; in addition the running L1 sum of sampled
 magnitudes provides a roundoff floor ``~eps * integral(|f|)``, which is what
 limits attainable accuracy for the strongly cancelling large-d integrands.
+
+One level loop serves many integrals at once, one column each (a frequency
+grid; a single integral is one column).  Each column stops on its own: by
+the rule above; when its floor exceeds its tolerance and its error is
+within 100 floors, since it can then only end nonconverged and further
+levels sample roundoff noise; or as soon as its sums are not finite, in
+which case it comes back nonconverged with an infinite error estimate.
 """
 from __future__ import annotations
 
@@ -31,6 +38,8 @@ from .integrand import TailClass, TailKind
 __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
+    "half_line_nodes",
+    "integrate_half_line",
     "integrate_semiinfinite",
     "integrate_finite",
 ]
@@ -43,6 +52,10 @@ _TS_UMAX = 6.08
 _BASE_H = 1.0
 
 _ts_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+# Largest (columns x nodes) block evaluated at once: the active columns of
+# a level are split to stay within it, which bounds the memory of a sweep.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,53 +116,93 @@ def _ts_nodes(level: int):
     return nodes
 
 
-def _refine(level_terms, cfg: QuadratureConfig) -> QuadratureResult:
-    """Run the level loop.
+def _cabs(z: np.ndarray) -> np.ndarray:
+    # |z| elementwise, bitwise equal to the scalar abs(complex); np.abs on a
+    # complex array is not
+    return np.hypot(z.real, z.imag)
 
-    ``level_terms(level)`` returns (sum of w*f, sum of |w*f|, count) over the
-    nodes new at that level, without the step factor.
+
+def _refine(level_terms, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
+    """Run the level loop for n integrals at once, one column each.
+
+    ``level_terms(level, cols)`` returns, for the columns ``cols``, the sums
+    of w*f and of |w*f| over the nodes new at that level (without the step
+    factor) and the node count.  Each column stops on its own: when it
+    meets the stop rule, when its error can no longer fall below the
+    tolerance, or when its sums stop being finite.
     """
-    total = 0.0 + 0.0j
-    l1 = 0.0
-    evals = 0
-    prev = None
-    err = math.inf
-    value = 0.0 + 0.0j
-    for level in range(cfg.max_levels + 1):
-        s, a, n = level_terms(level)
-        total += s
-        l1 += a
-        evals += n
-        h = _BASE_H / 2**level
-        value = h * total
-        if prev is not None:
-            err = abs(value - prev)
-            floor = 2.0 * _EPS * h * l1
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            # once err is within a small factor of the cancellation floor,
-            # further refinement cannot improve the attainable accuracy
-            if level >= 2 and err <= max(tol, 4.0 * floor):
-                break
-        prev = value
-    floor = 2.0 * _EPS * (_BASE_H / 2**level) * l1
-    est = max(err if math.isfinite(err) else 0.0, floor, _EPS * abs(value))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadratureResult(
-        value=complex(value),
-        abs_error_estimate=est,
-        evaluations=evals,
-        converged=bool(est <= tol),
-    )
+    # per column: value, error, roundoff floor and evaluations at its stop
+    value, err, floor = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
+    evals, finite = np.empty(n, dtype=int), np.empty(n, dtype=bool)
+    # running state of the columns still refining, in the order of ``cols``
+    cols = np.arange(n)
+    total, l1, e = np.zeros(n, dtype=complex), np.zeros(n), np.full(n, math.inf)
+    count = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(cfg.max_levels + 1):
+            s, a, nodes = level_terms(level, cols)
+            total += s
+            l1 += a
+            count += nodes
+            h = _BASE_H / 2**level
+            v = h * total
+            ok = np.isfinite(total) & np.isfinite(l1)
+            # a non-finite sum never recovers; it is flagged below
+            stop = ~ok
+            if level >= 1:
+                e = _cabs(v - prev)
+            if level >= 2:
+                fl = 2.0 * _EPS * h * l1
+                tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(v))
+                # once err is within a small factor of the cancellation
+                # floor, further refinement cannot improve the attainable
+                # accuracy; a floor above the tolerance means the column
+                # ends nonconverged however long it runs
+                stop |= e <= np.maximum(tol, 4.0 * fl)
+                stop |= (fl > tol) & (e <= 100.0 * fl)
+            if level == cfg.max_levels:
+                stop[:] = True
+            if stop.any():
+                done = cols[stop]
+                value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
+                floor[done] = 2.0 * _EPS * h * l1[stop]
+                evals[done] = count
+                keep = ~stop
+                cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
+                if cols.size == 0:
+                    break
+            prev = v
+        est = np.maximum(np.maximum(np.where(np.isfinite(err), err, 0.0), floor),
+                         _EPS * _cabs(value))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(value))
+        est[~finite] = math.inf
+        converged = finite & (est <= tol)
+    return [
+        QuadratureResult(
+            value=complex(value[i]),
+            abs_error_estimate=float(est[i]),
+            evaluations=int(evals[i]),
+            converged=bool(converged[i]),
+        )
+        for i in range(n)
+    ]
 
 
-def _tanh_sinh(g, cfg: QuadratureConfig) -> QuadratureResult:
-    # integral of g over the open unit interval; g(alpha, alphac) -> values
-    def level_terms(level):
+def _tanh_sinh(g, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
+    # integrals of n integrands over the open unit interval;
+    # g(level, alpha, alphac, cols) -> values, one row per column in cols
+    def level_terms(level, cols):
         alpha, alphac, w = _ts_nodes(level)
-        vals = w * np.asarray(g(alpha, alphac))
-        return vals.sum(), np.abs(vals).sum(), alpha.size
+        sums = np.empty(cols.size, dtype=complex)
+        l1 = np.empty(cols.size)
+        step = max(1, _BLOCK_ELEMENTS // alpha.size)
+        for i in range(0, cols.size, step):
+            vals = w * np.atleast_2d(g(level, alpha, alphac, cols[i:i + step]))
+            sums[i:i + step] = vals.sum(axis=1)
+            l1[i:i + step] = np.abs(vals).sum(axis=1)
+        return sums, l1, alpha.size
 
-    return _refine(level_terms, cfg)
+    return _refine(level_terms, n, cfg)
 
 
 def _combine(*parts: QuadratureResult) -> QuadratureResult:
@@ -170,11 +223,39 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
         raise ValueError(f"need b > a, got [{a}, {b}]")
     span = b - a
 
-    def g(alpha, alphac):
+    def g(level, alpha, alphac, cols):
         x = np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)
         return span * np.asarray(f(x))
 
-    return _tanh_sinh(g, cfg)
+    return _tanh_sinh(g, 1, cfg)[0]
+
+
+def half_line_nodes(level: int, split_point: float, tail: bool) -> np.ndarray:
+    """The nodes tau new at ``level`` on the head (0, s] or the tail [s, inf)."""
+    alpha = _ts_nodes(level)[0]
+    return split_point / alpha if tail else split_point * alpha
+
+
+def integrate_half_line(f, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
+    """Integrals over (0, inf) of n integrands with integrable tails at once.
+
+    ``f(level, tail, cols)`` returns the integrands ``cols`` (one row each)
+    at ``half_line_nodes(level, cfg.split_point, tail)``.  Head and tail run
+    as two level loops; a column's result is the sum of its two parts.
+    """
+    s = cfg.split_point
+
+    def g_head(level, alpha, alphac, cols):
+        return s * np.asarray(f(level, False, cols))
+
+    # tau = s/u maps [s, inf) to (0, 1]; evaluated as (f*tau)/u to keep
+    # every intermediate in range.
+    def g_tail(level, alpha, alphac, cols):
+        tau = s / alpha
+        return (np.asarray(f(level, True, cols)) * tau) / alpha
+
+    heads = _tanh_sinh(g_head, n, cfg)
+    return [_combine(h, t) for h, t in zip(heads, _tanh_sinh(g_tail, n, cfg))]
 
 
 def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -187,16 +268,5 @@ def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = No
     if tail.kind is TailKind.DIVERGENT:
         raise DivergentIntegralError("integrand has a non-integrable tail")
     s = cfg.split_point
-
-    def g_head(alpha, alphac):
-        return s * np.asarray(f(s * alpha))
-
-    head = _tanh_sinh(g_head, cfg)
-
-    # tau = s/u maps [s, inf) to (0, 1]; evaluated as (f*tau)/u to keep
-    # every intermediate in range.
-    def g_tail(alpha, alphac):
-        tau = s / alpha
-        return (np.asarray(f(tau)) * tau) / alpha
-
-    return _combine(head, _tanh_sinh(g_tail, cfg))
+    return integrate_half_line(
+        lambda level, part, cols: f(half_line_nodes(level, s, part)), 1, cfg)[0]

@@ -138,3 +138,29 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)[0]
     assert rec["im"] == pytest.approx(-1.0, abs=1e-13)
+
+
+def test_eval_non_finite_value_exits_2(capsys):
+    code, out = run_cli(capsys, "eval", "--d", "120", "--omega", "0")
+    assert code == 2
+    assert "nonconverged" in out
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import latgreen
+
+    src = os.path.dirname(os.path.dirname(latgreen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latgreen, latgreen.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,11 @@
 """End-to-end tests for green_local, green_sweep, and the density of states."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from latgreen.errors import DomainError
 from latgreen.green import (
     VAN_HOVE_ADJACENT_TOL,
     GreenResult,
@@ -113,6 +115,56 @@ def test_sweep_preserves_order_and_handles_divergences():
 
 def test_sweep_empty():
     assert green_sweep(3, []) == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_sweep_is_bitwise_pointwise(d):
+    # more frequencies than one block holds from level 5 on, across every
+    # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
+    # among them)
+    grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), np.arange(-d, d + 1, 2.0)])
+    swept = green_sweep(d, grid)
+    assert {r.piece_j for r in swept} == set(range(-1, d + 1))
+    assert [repr(r) for r in swept] == [repr(green_local(d, float(w))) for w in grid]
+
+
+def test_split_point_changes_nodes_not_values():
+    # the cached Bessel tables must follow the split point
+    for d in (3, 4):
+        grid = np.linspace(-d - 1.0, d + 1.0, 41)
+        ref = green_sweep(d, grid)
+        moved = green_sweep(d, grid, QuadratureConfig(split_point=2.0))
+        for a, b in zip(ref, moved):
+            assert a.converged and b.converged
+            assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
+def test_sweep_validates_every_frequency():
+    with pytest.raises(DomainError):
+        green_sweep(3, [0.0, math.nan])
+
+
+def test_result_fields_are_python_floats():
+    (res,) = green_sweep(3, np.array([0.5]))
+    assert type(res.omega) is float and type(res.abs_error) is float
+    assert type(res.value) is complex and type(res.evaluations) is int
+
+
+def test_non_finite_sum_is_flagged():
+    # the alternating terms overflow at d = 120 and their sum is NaN, which
+    # must come back flagged
+    res = green_local(120, 0.0)
+    assert not res.converged
+    if not cmath.isfinite(res.value):
+        assert res.abs_error == math.inf
+
+
+def test_cancellation_floor_stops_early():
+    # the roundoff floor lies far above the tolerance in the d = 40 band
+    # interior; refining past it only spends evaluations on noise
+    res = green_local(40, -36.9)
+    assert not res.converged
+    assert res.evaluations <= 1000
 
 
 def test_dos_basic_values():

@@ -120,6 +120,13 @@ def test_nonconverged_flag():
         assert abs(res.value - ref.value) <= 10 * res.abs_error_estimate
 
 
+def test_non_finite_integrand_is_flagged():
+    # exp overflows and inf - inf is NaN: the sum must come back flagged
+    res = integrate_finite(lambda x: np.exp(800.0 * x) - np.exp(800.0 * x), 0.0, 1.0)
+    assert not res.converged
+    assert res.abs_error_estimate == math.inf
+
+
 def test_divergent_tail_raises():
     with pytest.raises(DivergentIntegralError):
         integrate_semiinfinite(
