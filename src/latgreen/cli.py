@@ -2,8 +2,9 @@
 moments, and a self-test battery.
 
 Records are emitted as CSV (default) or JSON with 17 significant digits so
-doubles survive a round trip.  Exit codes: 0 success, 1 malformed flags or
-I/O error, 2 divergent/non-converged evaluation, 3 failed self-test.
+doubles survive a round trip.  Exit codes: 0 success, 1 malformed flags,
+input outside the domain or I/O error (one ``error:`` line on stderr, no
+traceback), 2 divergent/non-converged evaluation, 3 failed self-test.
 """
 from __future__ import annotations
 
@@ -155,20 +156,16 @@ def _selftest_checks(level: str):
         return max(abs(r.value.imag + 0.8964407887768), abs(r.value.real)), 5e-13
 
     def chain_closed_form():
-        worst = 0.0
-        for w in np.linspace(-3.0, 3.0, 25):
-            if abs(abs(w) - 1.0) < 1e-9:
-                continue
-            g = green_local(1, float(w), tight).value
-            worst = max(worst, abs(g - oracles.g1_closed_form(float(w))))
+        grid = [float(w) for w in np.linspace(-3.0, 3.0, 25) if abs(abs(w) - 1.0) >= 1e-9]
+        worst = max(abs(r.value - oracles.g1_closed_form(r.omega))
+                    for r in green_sweep(1, grid, tight))
         return worst, 1e-12
 
     def symmetry():
-        worst = 0.0
-        for w in np.linspace(0.1, 4.7, 12):
-            a = green_local(4, float(w), tight).value
-            b = green_local(4, -float(w), tight).value
-            worst = max(worst, abs(b + a.conjugate()))
+        grid = [float(w) for w in np.linspace(0.1, 4.7, 12)]
+        res = green_sweep(4, grid + [-w for w in grid], tight)
+        worst = max(abs(b.value + a.value.conjugate())
+                    for a, b in zip(res[:len(grid)], res[len(grid):]))
         return worst, 1e-12
 
     def laurent_triangle():
@@ -278,10 +275,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if getattr(args, "d", 1) < 1:
-        print("error: --d must be >= 1", file=sys.stderr)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # DomainError included: d < 1, non-finite omega, bad tolerance
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

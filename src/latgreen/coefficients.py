@@ -16,9 +16,14 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
-__all__ = ["PhasedInteger", "CoefficientTable", "staircase_j", "coefficient_table"]
+__all__ = [
+    "PhasedInteger", "CoefficientTable", "check_dimension", "staircase_j", "staircase_js",
+    "coefficient_table",
+]
 
 
 @dataclass(frozen=True)
@@ -58,20 +63,33 @@ class CoefficientTable:
     dcoef: tuple[PhasedInteger, ...]
 
 
-def staircase_j(d: int, omega: float) -> int:
-    """Piece selector floor((omega+d)/2), clamped to [-1, d].
+def check_dimension(d: int) -> None:
+    """Raise DomainError unless d is a positive integer (bool excluded)."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise DomainError(f"d must be a positive integer, got {d!r}")
+
+
+def staircase_js(d: int, omegas) -> np.ndarray:
+    """Piece selector floor((omega+d)/2), clamped to [-1, d], of every
+    frequency of a 1-D grid, as an int array.
 
     Outside the clamp range one of the two sums would be indexed out of its
     defining range; clamping puts all weight in the surviving sum, which is
     exact because the complementary sum is empty there.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
-    omega = float(omega)
-    if math.isnan(omega) or math.isinf(omega):
-        raise DomainError(f"omega must be finite, got {omega!r}")
-    j = math.floor((omega + d) / 2.0)
-    return max(-1, min(d, j))
+    check_dimension(d)
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be one-dimensional, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        bad = omegas[~np.isfinite(omegas)][0]
+        raise DomainError(f"omega must be finite, got {float(bad)!r}")
+    return np.minimum(np.maximum(np.floor((omegas + d) / 2.0), -1), d).astype(int)
+
+
+def staircase_j(d: int, omega: float) -> int:
+    """The piece of one frequency; see ``staircase_js``."""
+    return int(staircase_js(d, [float(omega)])[0])
 
 
 def _alternating_sum(d: int, m: int, n_hi: int) -> int:
@@ -89,8 +107,7 @@ def _alternating_sum(d: int, m: int, n_hi: int) -> int:
 @functools.lru_cache(maxsize=None, typed=True)
 def coefficient_table(d: int, j: int) -> CoefficientTable:
     """Exact coefficient table for piece j of dimension d, cached by (d, j)."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    check_dimension(d)
     if not isinstance(j, int) or isinstance(j, bool) or not -1 <= j <= d:
         raise DomainError(f"j must lie in [-1, {d}], got {j!r}")
     c = tuple(

@@ -8,9 +8,9 @@ instead of raising, so grid sweeps across band edges complete.
 There is one evaluation path, ``green_sweep``; ``green_local`` is a sweep
 of length one.  The quadrature nodes depend only on the level and the
 split point, so the Bessel pair is evaluated once per node set and cached,
-and all frequencies of a grid that share a piece of the piecewise formula
-run through one batched level loop.  Each result is the same, bit for bit,
-whatever it is batched with.
+and every frequency of a grid, whatever its piece of the piecewise
+formula, runs through one batched level loop.  Each result is the same,
+bit for bit, whatever it is batched with.
 """
 from __future__ import annotations
 
@@ -20,20 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrand import (
-    BesselTable,
-    IntegrandSpec,
-    TailKind,
-    bessel_table,
-    build_integrand,
-    eval_terms,
-    tail_class,
-)
+from .coefficients import check_dimension, staircase_js
+from .integrand import BesselTable, bessel_table, eval_terms, term_exponents, term_table
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
 # Not used here since sweeps are batched, but perfbench's tracer (spans.py)
 # wraps these names at this module, so they must keep resolving.
-from .integrand import eval_integrand  # noqa: F401
+from .integrand import build_integrand, eval_integrand, tail_class  # noqa: F401
 from .quadrature import integrate_semiinfinite  # noqa: F401
 
 __all__ = [
@@ -85,21 +78,19 @@ def _bessel_nodes(level: int, split_point: float, tail: bool) -> BesselTable:
     return table
 
 
-def _result(spec: IntegrandSpec, res: QuadratureResult) -> GreenResult:
-    d, omega = spec.d, spec.omega
+def _result(d: int, omega: float, j: int, res: QuadratureResult) -> GreenResult:
     adjacent = abs(omega - _nearest_van_hove(d, omega)) <= VAN_HOVE_ADJACENT_TOL * max(1.0, d)
     return GreenResult(
         omega=omega, d=d, value=res.value, abs_error=res.abs_error_estimate,
-        piece_j=spec.j, van_hove_adjacent=adjacent, divergent=False,
+        piece_j=j, van_hove_adjacent=adjacent, divergent=False,
         converged=res.converged, evaluations=res.evaluations,
     )
 
 
-def _divergent_result(spec: IntegrandSpec) -> GreenResult:
+def _divergent_result(d: int, omega: float, j: int) -> GreenResult:
     return GreenResult(
-        omega=spec.omega, d=spec.d,
-        value=_divergent_value(spec.d, _nearest_van_hove(spec.d, spec.omega)),
-        abs_error=math.inf, piece_j=spec.j, van_hove_adjacent=True,
+        omega=omega, d=d, value=_divergent_value(d, _nearest_van_hove(d, omega)),
+        abs_error=math.inf, piece_j=j, van_hove_adjacent=True,
         divergent=True, converged=False,
     )
 
@@ -113,29 +104,41 @@ def green_local(d: int, omega: float, cfg: QuadratureConfig | None = None) -> Gr
 def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[GreenResult]:
     """G_d at every frequency of a grid, in input order.
 
-    Frequencies in the same piece share the coefficients and the nodes, so
-    each piece is integrated as one batch, every frequency with its own
-    stop rule.  Every frequency is validated before any is integrated.
+    The frequencies run through one level loop, ordered by piece, each
+    with its own stop rule.  d and every frequency are validated before any
+    is integrated.
     """
     cfg = cfg or QuadratureConfig()
-    specs = [build_integrand(d, w) for w in omegas]
-    results: list[GreenResult | None] = [None] * len(specs)
-    pieces: dict[int, list[int]] = {}
-    for i, spec in enumerate(specs):
-        if tail_class(spec).kind is TailKind.DIVERGENT:
-            results[i] = _divergent_result(spec)
-        else:
-            pieces.setdefault(spec.j, []).append(i)
-    s = cfg.split_point
-    for idx in pieces.values():
-        piece = specs[idx[0]]
-        exponents = np.array([[t.exponent for t in specs[i].terms] for i in idx])
+    check_dimension(d)  # first, so that an empty grid is checked too
+    omegas = np.fromiter(omegas, dtype=float)
+    js = staircase_js(d, omegas)  # validates every frequency
+    exponents = term_exponents(d, omegas)
+    results: list[GreenResult | None] = [None] * len(js)
+    order = np.argsort(js, kind="stable")
+    if d < 3:
+        # a zero exponent leaves the tau^{-d/2} tail, which diverges for
+        # d <= 2 (see tail_class); exponents vanish only at a van Hove
+        # frequency, and there one of the piece's own terms has it
+        divergent = (exponents == 0.0).any(axis=1)
+        for i in np.flatnonzero(divergent).tolist():
+            results[i] = _divergent_result(d, float(omegas[i]), int(js[i]))
+        order = order[~divergent[order]]
+    if order.size:
+        rows_j, rows_q = js[order], exponents[order]
+        weights = None
+        if rows_j[0] != rows_j[-1]:
+            # (not np.unique, which imports numpy.ma)
+            pieces = sorted(set(rows_j.tolist()))
+            by_piece = np.array([term_table(d, j).weight for j in pieces])
+            weights = by_piece[np.searchsorted(pieces, rows_j)]
+        s = cfg.split_point
 
         def f(level, tail, cols):
-            return eval_terms(piece, exponents[cols], _bessel_nodes(level, s, tail))
+            return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level, s, tail),
+                              None if weights is None else weights[cols])
 
-        for i, res in zip(idx, integrate_half_line(f, len(idx), cfg)):
-            results[i] = _result(specs[i], res)
+        for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
+            results[i] = _result(d, float(omegas[i]), int(js[i]), res)
     return results
 
 

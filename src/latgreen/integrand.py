@@ -7,12 +7,15 @@ single analytically-formed net exponent q = 2m - d -/+ omega, which is always
 applied to K and I separately, so neither overflow nor underflow can occur
 before the final, decaying factor.
 
-Only q depends on omega.  The Bessel pair lives in a ``BesselTable`` built
-once per set of nodes, and ``eval_terms`` evaluates every frequency of one
-piece on such a table as one (frequencies x nodes) block.
+Only q depends on omega, and a term's phase depends only on (d, m) and its
+family, never on the piece j.  The Bessel pair lives in a ``BesselTable``
+built once per set of nodes; ``term_table`` holds the float weights of
+piece j; ``eval_terms`` evaluates any frequencies, of one piece or of many,
+on such a table as one term-major (frequencies x nodes) block.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,16 +24,18 @@ import numpy as np
 
 from .bessel import i0e, k0e
 from .coefficients import PhasedInteger, coefficient_table, staircase_j
-from .errors import DomainError
 
 __all__ = [
     "TermSpec",
     "IntegrandSpec",
+    "TermTable",
     "TailKind",
     "TailClass",
     "BesselTable",
     "bessel_table",
     "build_integrand",
+    "term_exponents",
+    "term_table",
     "eval_integrand",
     "eval_terms",
     "tail_class",
@@ -45,6 +50,11 @@ VAN_HOVE_SNAP_TOL = 1e-13
 
 # Bessel powers at or above this order are accumulated in log space.
 LOG_SPACE_POWER = 30
+
+# Most exponent*tau products (terms x rows x nodes) formed at once by
+# eval_terms: the d = 120 terms of one frequency on a level-8 node set
+# (1,556 nodes) fit, and the terms of a larger block run in groups.
+_QTAU_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,31 @@ class IntegrandSpec:
     terms: tuple[TermSpec, ...]
 
 
+@dataclass(frozen=True)
+class TermTable:
+    """The terms of piece j of dimension d, by slot, for ``eval_terms``.
+
+    The 2(d+1) slots are the C terms m = d, d-1, ..., 0 (exponent
+    2m - d - omega) followed by the D terms m = 0, 1, ..., d (exponent
+    2m - d + omega), so the d+1 terms of any piece j fill the contiguous
+    slots d-j .. 2d-j; ``order`` lists them as the formula adds them, C
+    m = 0..j, then D m = 0..d-j-1.  ``slots[k]`` is (m, weight, imag,
+    log_space): the weight is the term's sign times its coefficient
+    magnitude as a float, negated for the phases 2 and 3, and 0.0 in a
+    slot that piece j lacks; ``imag`` says whether the term adds to the
+    imaginary part.  A slot's m, imag and log_space depend only on d.
+    """
+
+    d: int
+    j: int
+    slots: tuple[tuple[int, float, bool, bool], ...]
+    order: tuple[int, ...]
+
+    @property
+    def weight(self) -> tuple[float, ...]:
+        return tuple(slot[1] for slot in self.slots)
+
+
 class TailKind(Enum):
     EXPONENTIAL = "exponential"
     POWER_LAW = "power_law"
@@ -80,29 +115,47 @@ class TailClass:
     parameter: float = 0.0
 
 
-def _snap_exponent(q: float, d: int) -> float:
-    return 0.0 if abs(q) <= VAN_HOVE_SNAP_TOL * max(1.0, d) else q
+def term_exponents(d: int, omegas) -> np.ndarray:
+    """The net exponent of every slot (see ``TermTable``) for each frequency.
+
+    Returns a (frequencies x 2(d+1)) array; an exponent within
+    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.
+    """
+    omegas = np.asarray(omegas, dtype=float).reshape(-1, 1)
+    base = np.arange(d, -d - 1, -2.0)  # 2m - d over the C slots, m = d..0
+    q = np.concatenate((base - omegas, base[::-1] + omegas), axis=1)
+    q[np.abs(q) <= VAN_HOVE_SNAP_TOL * max(1.0, d)] = 0.0
+    return q
 
 
 def build_integrand(d: int, omega: float) -> IntegrandSpec:
     """Assemble all d+1 terms of the piecewise formula for (d, omega)."""
     omega = float(omega)
-    if math.isnan(omega) or math.isinf(omega):
-        raise DomainError(f"omega must be finite, got {omega!r}")
-    j = staircase_j(d, omega)
+    j = staircase_j(d, omega)  # validates d and omega
     table = coefficient_table(d, j)
-    terms = []
-    for m, coeff in enumerate(table.c):
-        terms.append(
-            TermSpec(m=m, coeff=coeff, sign=+1,
-                     exponent=_snap_exponent(2 * m - d - omega, d))
-        )
-    for m, coeff in enumerate(table.dcoef):
-        terms.append(
-            TermSpec(m=m, coeff=coeff, sign=-1,
-                     exponent=_snap_exponent(2 * m - d + omega, d))
-        )
+    q = term_exponents(d, [omega])[0].tolist()
+    terms = [TermSpec(m=m, coeff=coeff, sign=+1, exponent=q[d - m])
+             for m, coeff in enumerate(table.c)]
+    terms += [TermSpec(m=m, coeff=coeff, sign=-1, exponent=q[d + 1 + m])
+              for m, coeff in enumerate(table.dcoef)]
     return IntegrandSpec(d=d, omega=omega, j=j, terms=tuple(terms))
+
+
+@functools.lru_cache(maxsize=1024)
+def term_table(d: int, j: int) -> TermTable:
+    """The float term table of piece j of dimension d, cached by (d, j)."""
+    table = coefficient_table(d, j)
+    weight = [0.0] * (2 * d + 2)
+    for m, coeff in enumerate(table.c):
+        weight[d - m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
+    for m, coeff in enumerate(table.dcoef):
+        weight[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
+    ms = (*range(d, -1, -1), *range(d + 1))
+    # both families carry the phase -(d+m) or d+m mod 4: odd means imaginary
+    slots = tuple((m, w, (d + m) % 2 == 1, max(d - m, m) >= LOG_SPACE_POWER)
+                  for m, w in zip(ms, weight))
+    order = (*range(d, d - j - 1, -1), *range(d + 1, 2 * d - j + 1))
+    return TermTable(d=d, j=j, slots=slots, order=order)
 
 
 @dataclass(frozen=True)
@@ -125,46 +178,73 @@ def bessel_table(tau) -> BesselTable:
     return BesselTable(tau, kbar, ibar, np.log(kbar), np.log(ibar))
 
 
-def eval_terms(spec: IntegrandSpec, exponents: np.ndarray, table: BesselTable) -> np.ndarray:
-    """Evaluate the integrand of several frequencies of one piece on a table.
+def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
+               weights: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the integrand of several frequencies on one Bessel table.
 
-    ``spec`` is any spec of the piece: it supplies d and the coefficients,
-    which all frequencies of a piece share.  Row r of ``exponents`` holds
-    the term exponents (in ``spec.terms`` order) of the r-th frequency.
+    Row r is a frequency of piece ``js[r]`` (nondecreasing in r) with the
+    slot exponents ``exponents[r]`` (see ``term_exponents``).  Rows of a
+    single piece take their weights from ``term_table``; rows of several
+    pieces need ``weights``, whose row r is ``term_table(d, js[r]).weight``.
     Returns the complex (rows x nodes) block ``(1/2^d) * sum_terms sign *
-    coeff * kbar^{d-m} ibar^m e^{exponent*tau}``.  Each element is computed
-    exactly as for a single frequency, so a row does not depend on the rows
-    it is batched with.  Underflowed terms contribute exactly 0; an overflow
-    shows as a non-finite value, which the quadrature flags.
+    coeff * kbar^{d-m} ibar^m e^{exponent*tau}``.
+
+    The terms run in the order C m = 0..d, then D m = 0..d, and each is
+    added to the rows whose piece has it (C m to j >= m, D m to
+    j <= d-1-m).  Every row thus receives the terms of its piece with the
+    arithmetic and in the order of a single frequency, so it does not
+    depend on the rows it is batched with.  The exponent*tau products of at
+    most d+1 terms, as many as a single piece has, and of at most
+    ``_QTAU_ELEMENTS`` elements (or of one term) exist at once.
+    Underflowed terms contribute exactly 0; an overflow shows as a
+    non-finite value, which the quadrature flags.
     """
-    d, tau = spec.d, table.tau
-    re = np.zeros((exponents.shape[0], tau.size))
+    tau = table.tau
+    n = exponents.shape[0]
+    j_lo, j_hi = int(js[0]), int(js[-1])
+    terms = term_table(d, j_lo)
+    mixed = j_lo != j_hi
+    if mixed:
+        # C m reaches the rows with j >= m and D m those with j < d-m, so
+        # slot k's rows start (C) or end (D) at the first row with j >= t,
+        # where t runs d..0 over the C slots and again over the D slots
+        cut = np.searchsorted(js, 2 * list(range(d, -1, -1))).tolist()
+    re = np.zeros((n, tau.size))
     im = np.zeros_like(re)
+    lo, hi = d - j_hi, 2 * d + 1 - j_lo  # the slots some row has
+    g = _QTAU_ELEMENTS // re.size  # terms per block of exponent*tau products
+    if not mixed and g > d:
+        groups = [(lo, terms.order)]
+    else:  # the C slots from m = 0 up, then the D slots, g at a time
+        g = max(1, min(g, d + 1))
+        groups = [(max(lo, c - g), range(c - 1, max(lo, c - g) - 1, -1))
+                  for c in range(d + 1, lo, -g)]
+        groups += [(c, range(c, min(hi, c + g))) for c in range(d + 1, hi, g)]
+    slots = terms.slots
     # kbar^{d-m} ibar^m (or its log) is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        qtau = exponents.T[:, :, None] * tau
-        for t, q in zip(spec.terms, qtau):
-            pk, pi_ = d - t.m, t.m
-            log_space = max(pk, pi_) >= LOG_SPACE_POWER
-            f = factors.get(t.m)
-            if f is None:
-                if log_space:
-                    f = pk * table.log_kbar + pi_ * table.log_ibar
-                else:
-                    f = table.kbar**pk * table.ibar**pi_
-                factors[t.m] = f
-            mag = np.exp(f + q) if log_space else f * np.exp(q)
-            w = t.sign * t.coeff.magnitude
-            phase = t.coeff.phase
-            if phase == 0:
-                re += w * mag
-            elif phase == 1:
-                im += w * mag
-            elif phase == 2:
-                re -= w * mag
-            else:
-                im -= w * mag
+        for a, ks in groups:
+            qtau = exponents[:, a:a + len(ks)].T[:, :, None] * tau
+            for k in ks:
+                q = qtau[k - a]
+                m, w, imag, log_space = slots[k]
+                f = factors.get(m)
+                if f is None:
+                    if log_space:
+                        f = (d - m) * table.log_kbar + m * table.log_ibar
+                    else:
+                        f = table.kbar**(d - m) * table.ibar**m
+                    factors[m] = f
+                acc = im if imag else re
+                if mixed:
+                    rows = slice(cut[k], n) if k <= d else slice(0, cut[k])
+                    w = weights[rows, k, None]
+                    if rows.stop - rows.start < n:
+                        q, acc = q[rows], acc[rows]
+                mag = np.exp(f + q) if log_space else f * np.exp(q)
+                acc += w * mag
+            qtau = q = None  # free the products before the next group's
         return (re + 1j * im) * 0.5**d
 
 
@@ -172,12 +252,12 @@ def eval_integrand(spec: IntegrandSpec, tau):
     """Evaluate the integrand at tau (> 0, scalar or ndarray).
 
     Returns ``(1/2^d) * sum_terms sign * coeff * kbar^{d-m} ibar^m
-    e^{exponent*tau}`` as a complex scalar or a complex ndarray of tau's
-    shape; see ``eval_terms``.
+    e^{exponent*tau}`` for the (d, omega) of ``spec`` as a complex scalar or
+    a complex ndarray of tau's shape; a one-row call of ``eval_terms``.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    exponents = np.array([[t.exponent for t in spec.terms]])
-    out = eval_terms(spec, exponents, bessel_table(tau_arr.ravel()))[0]
+    exponents = term_exponents(spec.d, [spec.omega])
+    out = eval_terms(spec.d, [spec.j], exponents, bessel_table(tau_arr.ravel()))[0]
     return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 
 

@@ -10,6 +10,17 @@ from latgreen.cli import main
 from latgreen.green import green_local
 
 
+def _subprocess_env():
+    # the child imports this checkout's latgreen, however the suite found it
+    import os
+
+    import latgreen
+
+    src = os.path.dirname(os.path.dirname(latgreen.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -118,6 +129,23 @@ def test_malformed_flags_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--omega", "nan"], ["--omega", "inf"], ["--omega", "0", "--rel-tol", "-1"],
+])
+def test_bad_input_exits_one_without_traceback(argv):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "latgreen.cli", "eval", "--d", "3", *argv],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_selftest_quick_passes(capsys):
     code, out = run_cli(capsys, "selftest", "--level", "quick")
     assert code == 0
@@ -147,20 +175,14 @@ def test_eval_non_finite_value_exits_2(capsys):
 
 
 def test_import_does_not_load_scipy():
-    import os
     import subprocess
     import sys
 
-    import latgreen
-
-    src = os.path.dirname(os.path.dirname(latgreen.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, latgreen, latgreen.cli; "
          "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

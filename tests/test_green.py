@@ -13,6 +13,7 @@ from latgreen.green import (
     green_local,
     green_sweep,
 )
+from latgreen.integrand import TailKind, build_integrand, tail_class
 from latgreen.quadrature import QuadratureConfig
 
 from reference_values import G3_ZERO_IMAG
@@ -117,15 +118,26 @@ def test_sweep_empty():
     assert green_sweep(3, []) == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 20, 40, 80])
 def test_sweep_is_bitwise_pointwise(d):
     # more frequencies than one block holds from level 5 on, across every
     # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
-    # among them)
+    # among them); d = 40 mixes direct and log-space terms, d = 80 has only
+    # log-space terms
     grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), np.arange(-d, d + 1, 2.0)])
     swept = green_sweep(d, grid)
     assert {r.piece_j for r in swept} == set(range(-1, d + 1))
     assert [repr(r) for r in swept] == [repr(green_local(d, float(w))) for w in grid]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sweep_divergence_follows_tail_class(d):
+    # within the snap tolerance of a van Hove point, and just outside it
+    offsets = np.array([0.0, 5e-14, -5e-14, 3e-13, -3e-13, 1e-9])
+    grid = (np.arange(-d, d + 1, 2.0)[:, None] + offsets).ravel()
+    expected = [tail_class(build_integrand(d, w)).kind is TailKind.DIVERGENT for w in grid]
+    assert [r.divergent for r in green_sweep(d, grid)] == expected
+    assert any(expected) == (d <= 2)
 
 
 def test_split_point_changes_nodes_not_values():
@@ -139,9 +151,20 @@ def test_split_point_changes_nodes_not_values():
             assert abs(a.value - b.value) <= a.abs_error + b.abs_error
 
 
+@pytest.mark.parametrize("d", [0, -3, 2.0, True])
+def test_sweep_validates_dimension_on_empty_grid(d):
+    with pytest.raises(DomainError):
+        green_sweep(d, [])
+
+
 def test_sweep_validates_every_frequency():
     with pytest.raises(DomainError):
         green_sweep(3, [0.0, math.nan])
+
+
+def test_sweep_takes_any_iterable():
+    grid = [-4.5, 0.25, 1.0, 3.5]
+    assert green_sweep(3, (w for w in grid)) == green_sweep(3, grid)
 
 
 def test_result_fields_are_python_floats():

@@ -12,10 +12,15 @@ from latgreen.integrand import (
     LOG_SPACE_POWER,
     TailKind,
     VAN_HOVE_SNAP_TOL,
+    bessel_table,
     build_integrand,
     eval_integrand,
+    eval_terms,
     tail_class,
+    term_exponents,
+    term_table,
 )
+from latgreen.quadrature import half_line_nodes
 
 
 def _mpmath_reference(d, omega, tau, dps=50):
@@ -155,3 +160,81 @@ def test_domain_errors():
 
 def test_log_space_threshold_constant():
     assert LOG_SPACE_POWER == 30
+
+
+def _per_piece_reference(specs, table):
+    """The frequencies of one piece as a block, term by term from their
+    ``TermSpec``s: the piece-at-a-time evaluator that ``eval_terms``
+    replaced, kept as the bitwise reference for it."""
+    spec, d, tau = specs[0], specs[0].d, table.tau
+    exponents = np.array([[t.exponent for t in s.terms] for s in specs])
+    re = np.zeros((len(specs), tau.size))
+    im = np.zeros_like(re)
+    factors = {}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        qtau = exponents.T[:, :, None] * tau
+        for t, q in zip(spec.terms, qtau):
+            pk, pi_ = d - t.m, t.m
+            log_space = max(pk, pi_) >= LOG_SPACE_POWER
+            f = factors.get(t.m)
+            if f is None:
+                if log_space:
+                    f = pk * table.log_kbar + pi_ * table.log_ibar
+                else:
+                    f = table.kbar**pk * table.ibar**pi_
+                factors[t.m] = f
+            mag = np.exp(f + q) if log_space else f * np.exp(q)
+            w = t.sign * t.coeff.magnitude
+            phase = t.coeff.phase
+            if phase == 0:
+                re += w * mag
+            elif phase == 1:
+                im += w * mag
+            elif phase == 2:
+                re -= w * mag
+            else:
+                im -= w * mag
+        return (re + 1j * im) * 0.5**d
+
+
+@pytest.mark.parametrize("d", [4, 40])
+def test_mixed_block_is_bitwise_per_piece(d):
+    # one block of rows from five pieces (outside the band on both sides
+    # among them), against each piece evaluated on its own; at d = 40 the
+    # block mixes direct and log-space terms, and on the level-8 nodes its
+    # terms run in groups
+    omegas = np.sort(np.concatenate([
+        [-d - 0.7, -d + 0.3, -d + 1.2, d - 0.5, d + 1.5],
+        np.linspace(-d + 2.1, d - 2.1, 7),
+    ]))
+    specs = [build_integrand(d, w) for w in omegas]
+    js = np.array([s.j for s in specs])
+    assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
+    weights = np.array([term_table(d, j).weight for j in js.tolist()])
+    for tau in (half_line_nodes(4, 1.0, False), half_line_nodes(4, 1.0, True),
+                half_line_nodes(8, 1.0, True)):
+        table = bessel_table(tau)
+        got = eval_terms(d, js, term_exponents(d, omegas), table, weights)
+        for j in set(js.tolist()):
+            rows = np.flatnonzero(js == j)
+            ref = _per_piece_reference([specs[r] for r in rows], table)
+            assert got[rows].tobytes() == ref.tobytes()
+
+
+def test_term_table_matches_coefficients():
+    # weight times the slot's part reproduces sign * coefficient exactly
+    # (as floats), for every piece, both families and every phase; the
+    # order is the spec's term order
+    for d in (1, 2, 5, 40):
+        for j in range(-1, d + 1):
+            table = term_table(d, j)
+            spec = build_integrand(d, min(max(2 * j - d + 1.0, -d - 1.0), d + 1.0))
+            assert spec.j == j
+            slots = [d - t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
+            assert table.order == tuple(slots)
+            for t, k in zip(spec.terms, slots):
+                m, weight, imag, log_space = table.slots[k]
+                want = t.sign * t.coeff.complex_value
+                assert (complex(0.0, weight) if imag else weight) == want
+                assert m == t.m and log_space == (max(d - m, m) >= LOG_SPACE_POWER)
+            assert all(table.weight[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))
