@@ -15,19 +15,6 @@ from .errors import (
 )
 from .green import GreenResult, dos, green_local, green_sweep
 from .integrand import IntegrandSpec, TermSpec, build_integrand, eval_integrand, tail_class
-from .oracles import (
-    MomentTable,
-    bessel_j_fourier,
-    bz_bruteforce,
-    dos_convolution,
-    dos_moment,
-    dos_normalization,
-    g1_closed_form,
-    laurent_green,
-    laurent_truncation_bound,
-    lorentz_broadened,
-    moments,
-)
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -75,3 +62,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The verification oracles (and the fractions and decimal modules they
+# use) are loaded on first use, so that evaluating G_d does not pay for them.
+_ORACLES = frozenset({
+    "MomentTable", "moments", "laurent_green", "laurent_truncation_bound",
+    "g1_closed_form", "dos_convolution", "dos_normalization", "dos_moment",
+    "bz_bruteforce", "lorentz_broadened", "bessel_j_fourier",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,6 +12,13 @@ family, never on the piece j.  The Bessel pair lives in a ``BesselTable``
 built once per set of nodes; ``term_table`` holds the float weights of
 piece j; ``eval_terms`` evaluates any frequencies, of one piece or of many,
 on such a table as one term-major (frequencies x nodes) block.
+
+Inside the band (0 <= j <= d-1) all d+1 terms of a piece have a nonzero
+coefficient.  Outside it (j = -1 or j = d) all but the m = d one are
+exactly zero, and the integrand is the single term +-(1/2^d) ibar^d
+e^{(d-|omega|)tau} = +-I0(tau)^d e^{-|omega| tau}.  ``eval_terms`` forms only
+the terms with a nonzero coefficient, so such a frequency costs one term
+at any d.
 """
 from __future__ import annotations
 
@@ -84,12 +91,14 @@ class TermTable:
     The 2(d+1) slots are the C terms m = d, d-1, ..., 0 (exponent
     2m - d - omega) followed by the D terms m = 0, 1, ..., d (exponent
     2m - d + omega), so the d+1 terms of any piece j fill the contiguous
-    slots d-j .. 2d-j; ``order`` lists them as the formula adds them, C
-    m = 0..j, then D m = 0..d-j-1.  ``slots[k]`` is (m, weight, imag,
-    log_space): the weight is the term's sign times its coefficient
-    magnitude as a float, negated for the phases 2 and 3, and 0.0 in a
-    slot that piece j lacks; ``imag`` says whether the term adds to the
-    imaginary part.  A slot's m, imag and log_space depend only on d.
+    slots d-j .. 2d-j.  ``order`` lists those with a nonzero weight as the
+    formula adds them, C m = 0..j, then D m = 0..d-j-1: all d+1 inside the
+    band, and only the m = d term outside it, slot 2d+1 for j = -1 and
+    slot 0 for j = d.  ``slots[k]`` is (m, weight, imag, log_space): the
+    weight is the term's sign times its coefficient magnitude as a float,
+    negated for the phases 2 and 3, and 0.0 in a slot that piece j lacks
+    or whose coefficient is zero; ``imag`` says whether the term adds to
+    the imaginary part.  A slot's m, imag and log_space depend only on d.
     """
 
     d: int
@@ -154,7 +163,8 @@ def term_table(d: int, j: int) -> TermTable:
     # both families carry the phase -(d+m) or d+m mod 4: odd means imaginary
     slots = tuple((m, w, (d + m) % 2 == 1, max(d - m, m) >= LOG_SPACE_POWER)
                   for m, w in zip(ms, weight))
-    order = (*range(d, d - j - 1, -1), *range(d + 1, 2 * d - j + 1))
+    order = tuple(k for k in (*range(d, d - j - 1, -1), *range(d + 1, 2 * d - j + 1))
+                  if weight[k] != 0.0)
     return TermTable(d=d, j=j, slots=slots, order=order)
 
 
@@ -190,44 +200,44 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
     coeff * kbar^{d-m} ibar^m e^{exponent*tau}``.
 
     The terms run in the order C m = 0..d, then D m = 0..d, and each is
-    added to the rows whose piece has it (C m to j >= m, D m to
-    j <= d-1-m).  Every row thus receives the terms of its piece with the
+    added to the rows whose piece has it with a nonzero coefficient: C m < d
+    to m <= j <= d-1, C m = d to j = d, D m < d to 0 <= j <= d-1-m and D m = d
+    to j = -1.  Every row thus receives the terms of its piece with the
     arithmetic and in the order of a single frequency, so it does not
-    depend on the rows it is batched with.  The exponent*tau products of at
-    most d+1 terms, as many as a single piece has, and of at most
-    ``_QTAU_ELEMENTS`` elements (or of one term) exist at once.
-    Underflowed terms contribute exactly 0; an overflow shows as a
-    non-finite value, which the quadrature flags.
+    depend on the rows it is batched with, and a term no row has is never
+    formed.  The exponent*tau products of at most d+1 terms, as many as a
+    single piece has, and of at most ``_QTAU_ELEMENTS`` elements (or of one
+    term) exist at once.  Underflowed terms contribute exactly 0; an
+    overflow shows as a non-finite value, which the quadrature flags.
     """
     tau = table.tau
     n = exponents.shape[0]
-    j_lo, j_hi = int(js[0]), int(js[-1])
-    terms = term_table(d, j_lo)
-    mixed = j_lo != j_hi
-    if mixed:
-        # C m reaches the rows with j >= m and D m those with j < d-m, so
-        # slot k's rows start (C) or end (D) at the first row with j >= t,
-        # where t runs d..0 over the C slots and again over the D slots
+    j_first = int(js[0])
+    terms = term_table(d, j_first)
+    mixed = j_first != int(js[-1])
+    if not mixed:
+        ks = list(terms.order)
+    else:
+        # cut[k] is the first row with j >= t, where t runs d..0 over the C
+        # slots and again over the D slots.  The rows [0, bottom) have
+        # j = -1, [top, n) j = d, and the rows in between, inside the band,
+        # reach C m = 0..j_hi and D m = 0..d-1-j_lo.
         cut = np.searchsorted(js, 2 * list(range(d, -1, -1))).tolist()
+        top, bottom = cut[0], cut[-1]
+        j_lo, j_hi = (int(js[bottom]), int(js[top - 1])) if bottom < top else (d, -1)
+        ks = [*range(d, d - j_hi - 1, -1), *([0] if top < n else []),
+              *range(d + 1, 2 * d + 1 - j_lo), *([2 * d + 1] if bottom else [])]
     re = np.zeros((n, tau.size))
     im = np.zeros_like(re)
-    lo, hi = d - j_hi, 2 * d + 1 - j_lo  # the slots some row has
-    g = _QTAU_ELEMENTS // re.size  # terms per block of exponent*tau products
-    if not mixed and g > d:
-        groups = [(lo, terms.order)]
-    else:  # the C slots from m = 0 up, then the D slots, g at a time
-        g = max(1, min(g, d + 1))
-        groups = [(max(lo, c - g), range(c - 1, max(lo, c - g) - 1, -1))
-                  for c in range(d + 1, lo, -g)]
-        groups += [(c, range(c, min(hi, c + g))) for c in range(d + 1, hi, g)]
+    g = max(1, min(_QTAU_ELEMENTS // re.size, d + 1))  # terms per group
     slots = terms.slots
     # kbar^{d-m} ibar^m (or its log) is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for a, ks in groups:
-            qtau = exponents[:, a:a + len(ks)].T[:, :, None] * tau
-            for k in ks:
-                q = qtau[k - a]
+        for a in range(0, len(ks), g):
+            group = ks[a:a + g]
+            qtau = exponents.take(group, axis=1).T[:, :, None] * tau
+            for k, q in zip(group, qtau):
                 m, w, imag, log_space = slots[k]
                 f = factors.get(m)
                 if f is None:
@@ -238,7 +248,10 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
                     factors[m] = f
                 acc = im if imag else re
                 if mixed:
-                    rows = slice(cut[k], n) if k <= d else slice(0, cut[k])
+                    # C m < d reaches [cut[k], top), C m = d [top, n),
+                    # D m < d [bottom, cut[k]) and D m = d [0, bottom)
+                    rows = (slice(cut[k], top if k else n) if k <= d
+                            else slice(bottom if k <= 2 * d else 0, cut[k]))
                     w = weights[rows, k, None]
                     if rows.stop - rows.start < n:
                         q, acc = q[rows], acc[rows]

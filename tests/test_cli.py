@@ -168,6 +168,14 @@ def test_console_script_entry_point():
     assert rec["im"] == pytest.approx(-1.0, abs=1e-13)
 
 
+def test_eval_outside_band_at_d120_exits_0(capsys):
+    code, out = run_cli(capsys, "eval", "--d", "120", "--omega", "240")
+    assert code == 0
+    rec = out.splitlines()[1].split(",")
+    assert rec[5] == "120" and rec[6] == ""
+    assert float(rec[2]) == pytest.approx(1 / 240, rel=0.01)
+
+
 def test_eval_non_finite_value_exits_2(capsys):
     code, out = run_cli(capsys, "eval", "--d", "120", "--omega", "0")
     assert code == 2
@@ -175,14 +183,22 @@ def test_eval_non_finite_value_exits_2(capsys):
 
 
 def test_import_does_not_load_scipy():
+    # nor the oracles and the fractions module they use, which still
+    # resolve through the package on first use
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, latgreen, latgreen.cli; "
-         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+         "or m in ('latgreen.oracles', 'fractions')]); "
+         "from latgreen import laurent_green; "
+         "print(latgreen.moments(3, 2).moments[1], round(laurent_green(1, 2.0, 40).real, 12), "
+         "'latgreen.oracles' in sys.modules)"],
         capture_output=True, text=True, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded, used = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert used == f"3/2 {round(1 / math.sqrt(3.0), 12)!r} True"

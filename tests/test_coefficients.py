@@ -160,6 +160,24 @@ def test_staircase_consistent_with_sizes(d, omega):
     assert isinstance(table, CoefficientTable)
 
 
+def test_zero_coefficients_are_the_outside_band_ones():
+    # outside the band (j = -1 or d) only the m = d coefficient is nonzero,
+    # inside it none is zero: eval_terms forms exactly the nonzero terms.
+    # Uncached, so that the 7,500 tables do not stay in memory.
+    exact = coefficient_table.__wrapped__
+    for d in range(1, 121):
+        for j in range(-1, d + 1):
+            table = exact(d, j)
+            nonzero = ([("C", m) for m, c in enumerate(table.c) if c.magnitude]
+                       + [("D", m) for m, c in enumerate(table.dcoef) if c.magnitude])
+            if j == -1:
+                assert nonzero == [("D", d)]
+            elif j == d:
+                assert nonzero == [("C", d)]
+            else:
+                assert len(nonzero) == d + 1 == len(table.c) + len(table.dcoef)
+
+
 def test_cache_returns_same_object():
     assert coefficient_table(5, 2) is coefficient_table(5, 2)
 

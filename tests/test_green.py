@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from latgreen.green import (
     green_sweep,
 )
 from latgreen.integrand import TailKind, build_integrand, tail_class
+from latgreen.oracles import laurent_green, laurent_truncation_bound
 from latgreen.quadrature import QuadratureConfig
 
 from reference_values import G3_ZERO_IMAG
@@ -118,16 +120,41 @@ def test_sweep_empty():
     assert green_sweep(3, []) == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 20, 40, 80])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 20, 40, 80, 120])
 def test_sweep_is_bitwise_pointwise(d):
     # more frequencies than one block holds from level 5 on, across every
     # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
     # among them); d = 40 mixes direct and log-space terms, d = 80 has only
-    # log-space terms
+    # log-space terms, and at d = 120 the in-band rows are NaN next to the
+    # finite outside-band ones
     grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), np.arange(-d, d + 1, 2.0)])
     swept = green_sweep(d, grid)
     assert {r.piece_j for r in swept} == set(range(-1, d + 1))
     assert [repr(r) for r in swept] == [repr(green_local(d, float(w))) for w in grid]
+
+
+@pytest.mark.parametrize("omega", [240.0, -240.0])
+def test_outside_band_at_d120_matches_laurent(omega):
+    # outside the band the integrand is the single m = d term, which stays
+    # finite where the zero-weighted terms of the other m would overflow
+    res = green_local(120, omega)
+    ref = laurent_green(120, omega, 60)
+    assert res.converged and res.piece_j in (-1, 120)
+    assert abs(res.value - ref) <= res.abs_error + laurent_truncation_bound(120, omega, 60)
+    # batched with the other side of the band only: no row inside it
+    assert repr(green_sweep(120, [omega, -omega])[0]) == repr(res)
+
+
+@pytest.mark.parametrize("omega", [122.0, -122.0])
+def test_outside_band_at_d120_matches_laplace_integral(omega):
+    # for |omega| > d, G_d(omega) = sign(omega) int_0^inf e^{-|omega| tau}
+    # I0(tau)^d dtau, here at 30 digits
+    with mp.workdps(30):
+        integral = mp.quad(lambda t: mp.exp(-abs(omega) * t) * mp.besseli(0, t) ** 120,
+                           [0, 1, 10, mp.inf])
+    res = green_local(120, omega)
+    assert res.converged
+    assert abs(res.value - math.copysign(float(integral), omega)) <= res.abs_error
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
