@@ -103,8 +103,9 @@ def _alternating_sum(d: int, m: int, n_hi: int) -> int:
 
 
 # typed: True and numpy integers equal to a cached int must still reach the
-# validation below instead of hitting the cache
-@functools.lru_cache(maxsize=None, typed=True)
+# validation below instead of hitting the cache; bounded like term_table,
+# since every piece for d <= 120 is 7,500 exact tables
+@functools.lru_cache(maxsize=1024, typed=True)
 def coefficient_table(d: int, j: int) -> CoefficientTable:
     """Exact coefficient table for piece j of dimension d, cached by (d, j)."""
     check_dimension(d)

@@ -6,11 +6,11 @@ van Hove frequency) come back as flagged results carrying signed infinities
 instead of raising, so grid sweeps across band edges complete.
 
 There is one evaluation path, ``green_sweep``; ``green_local`` is a sweep
-of length one.  The quadrature nodes depend only on the level and the
-split point, so the Bessel pair is evaluated once per node set and cached,
-and every frequency of a grid, whatever its piece of the piecewise
-formula, runs through one batched level loop.  Each result is the same,
-bit for bit, whatever it is batched with.
+of length one.  The quadrature nodes depend only on the level and the part
+(head or tail), so the Bessel pair is evaluated once per node set and
+cached, and every frequency of a grid, whatever its piece of the piecewise
+formula, runs through one level loop, its head and its tail as two columns.
+Each result is the same, bit for bit, whatever it is batched with.
 """
 from __future__ import annotations
 
@@ -68,11 +68,10 @@ def _divergent_value(d: int, omega: float) -> complex:
     return complex(math.copysign(math.inf, omega), 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _bessel_nodes(level: int, split_point: float, tail: bool) -> BesselTable:
-    # bounded, so that a caller cycling through split points cannot grow it;
+@functools.lru_cache(maxsize=None)  # one entry per (level, part)
+def _bessel_nodes(level: int, tail: bool) -> BesselTable:
     # read-only, since every caller shares the arrays
-    table = bessel_table(half_line_nodes(level, split_point, tail))
+    table = bessel_table(half_line_nodes(level, tail))
     for arr in vars(table).values():
         arr.flags.writeable = False
     return table
@@ -131,10 +130,9 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
             pieces = sorted(set(rows_j.tolist()))
             by_piece = np.array([term_table(d, j).weight for j in pieces])
             weights = by_piece[np.searchsorted(pieces, rows_j)]
-        s = cfg.split_point
 
         def f(level, tail, cols):
-            return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level, s, tail),
+            return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level, tail),
                               None if weights is None else weights[cols])
 
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):

@@ -120,7 +120,7 @@ def _van_hove_points(d: int) -> list[float]:
     return [float(-d + 2 * n) for n in range(d + 1)]
 
 
-def _split_points(lo: float, hi: float, interior: list[float]) -> list[float]:
+def _breakpoints(lo: float, hi: float, interior: list[float]) -> list[float]:
     pts = [lo] + sorted(p for p in interior if lo < p < hi) + [hi]
     out = [pts[0]]
     for p in pts[1:]:
@@ -147,7 +147,6 @@ def _inner(cfg: QuadratureConfig) -> QuadratureConfig:
         rel_tol=max(cfg.rel_tol * 1e-2, 1e-14),
         abs_tol=max(cfg.abs_tol * 1e-2, 1e-15),
         max_levels=cfg.max_levels,
-        split_point=cfg.split_point,
     )
 
 
@@ -198,7 +197,7 @@ def dos_convolution(
         mhi = edge_margin_theta(hi)
         tlo, thi = math.asin(lo) + mlo, math.asin(hi) - mhi
         tcuts = [math.asin(c) for c in cuts if lo < c < hi]
-        pts = _split_points(tlo, thi, tcuts)
+        pts = _breakpoints(tlo, thi, tcuts)
         for a, b in zip(pts, pts[1:]):
             ma = cut_margin if a not in (tlo, thi) else 0.0
             mb = cut_margin if b not in (tlo, thi) else 0.0
@@ -210,7 +209,7 @@ def dos_convolution(
         return total
 
     interior = _van_hove_points(d1) + [omega - v for v in _van_hove_points(d2)]
-    pts = _split_points(lo, hi, interior)
+    pts = _breakpoints(lo, hi, interior)
     for a, b in zip(pts, pts[1:]):
         r = integrate_finite(
             lambda x: _dos_grid(d1, x, inner) * a2(omega - np.atleast_1d(x)),

@@ -2,15 +2,14 @@
 
 One rule, tanh-sinh, serves both parts of an integral over (0, inf):
 
-* on ``(0, split_point]`` it integrates the |ln tau|^d endpoint behaviour at
-  spectral accuracy;
-* on ``[split_point, inf)`` it runs after the substitution
-  ``tau = split_point/u``, which maps the tail to ``(0, 1]``: an exponential
-  tail vanishes faster than any power as u -> 0, and the u^{d/2-2} endpoint
-  behaviour of a power-law tail is integrable for d >= 3.
+* on the head ``(0, s]``, s = 1, it integrates the |ln tau|^d endpoint
+  behaviour at spectral accuracy;
+* on the tail ``[s, inf)`` it runs after the substitution ``tau = s/u``,
+  which maps the tail to ``(0, 1]``: an exponential tail vanishes faster
+  than any power as u -> 0, and the u^{d/2-2} endpoint behaviour of a
+  power-law tail is integrable for d >= 3.
 
-Every node therefore depends only on the level and ``split_point``, never
-on the integrand.
+Every node therefore depends only on the level, never on the integrand.
 
 Levels halve the step of the underlying trapezoidal sum and reuse all
 previous evaluations.  The error estimate is the difference of the last two
@@ -19,14 +18,16 @@ magnitudes provides a roundoff floor ``~eps * integral(|f|)``, which is what
 limits attainable accuracy for the strongly cancelling large-d integrands.
 
 One level loop serves many integrals at once, one column each (a frequency
-grid; a single integral is one column).  Each column stops on its own: by
-the rule above; when its floor exceeds its tolerance and its error is
-within 100 floors, since it can then only end nonconverged and further
-levels sample roundoff noise; or as soon as its sums are not finite, in
-which case it comes back nonconverged with an infinite error estimate.
+grid; a single integral is one column; the head and the tail of a half-line
+integral are two).  Each column stops on its own: by the rule above; when
+its floor exceeds its tolerance and its error is within 100 floors, since
+it can then only end nonconverged and further levels sample roundoff noise;
+or as soon as its sums are not finite, in which case it comes back
+nonconverged with an infinite error estimate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,8 @@ _EPS = 2.220446049250313e-16
 _TS_UMAX = 6.08
 _BASE_H = 1.0
 
-_ts_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Where a half-line integral splits into head (0, s] and tail [s, inf).
+_SPLIT = 1.0
 
 # Largest (columns x nodes) block evaluated at once: the active columns of
 # a level are split to stay within it, which bounds the memory of a sweep.
@@ -63,15 +65,14 @@ class QuadratureConfig:
     rel_tol: float = 1e-13
     abs_tol: float = 1e-15
     max_levels: int = 12
-    split_point: float = 1.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < t < math.inf for t in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if not isinstance(self.max_levels, int) or isinstance(self.max_levels, bool):
+            raise ValueError(f"max_levels must be an integer, got {self.max_levels!r}")
         if self.max_levels < 3:
             raise ValueError("max_levels must be >= 3")
-        if not (self.split_point > 0.0 and math.isfinite(self.split_point)):
-            raise ValueError("split_point must be positive and finite")
 
     @classmethod
     def fast(cls) -> "QuadratureConfig":
@@ -97,11 +98,9 @@ def _new_us(level: int) -> np.ndarray:
     return np.concatenate((-h * ks[::-1], h * ks))
 
 
+@functools.lru_cache(maxsize=None)  # one entry per level
 def _ts_nodes(level: int):
     """Tanh-sinh nodes on (0, 1): (alpha, 1-alpha, weight), both ends stable."""
-    cached = _ts_cache.get(level)
-    if cached is not None:
-        return cached
     u = _new_us(level)
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
@@ -112,7 +111,8 @@ def _ts_nodes(level: int):
     w = 0.25 * math.pi * np.cosh(u) * 4.0 * e / (1.0 + e) ** 2
     keep = (alpha > 0) & (alphac > 0) & (w > 0)
     nodes = (alpha[keep], alphac[keep], w[keep])
-    _ts_cache.setdefault(level, nodes)
+    for arr in nodes:  # shared by every caller
+        arr.flags.writeable = False
     return nodes
 
 
@@ -122,28 +122,38 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _refine(level_terms, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
-    """Run the level loop for n integrals at once, one column each.
+def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
+    """Run the level loop for n integrals over (0, 1) of each integrand
+    family in ``parts`` at once, one column each.
 
-    ``level_terms(level, cols)`` returns, for the columns ``cols``, the sums
-    of w*f and of |w*f| over the nodes new at that level (without the step
-    factor) and the node count.  Each column stops on its own: when it
-    meets the stop rule, when its error can no longer fall below the
-    tolerance, or when its sums stop being finite.
+    Column p*n + i is integral i of part p, whose
+    ``g(level, alpha, alphac, cols)`` returns the integrands ``cols`` (one
+    row each) at the nodes new at that level; no block of columns spans two
+    parts.  Each column stops on its own: when it meets the stop rule, when
+    its error can no longer fall below the tolerance, or when its sums stop
+    being finite.
     """
+    n_cols = len(parts) * n
     # per column: value, error, roundoff floor and evaluations at its stop
-    value, err, floor = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
-    evals, finite = np.empty(n, dtype=int), np.empty(n, dtype=bool)
+    value, err, floor = np.empty(n_cols, dtype=complex), np.empty(n_cols), np.empty(n_cols)
+    evals, finite = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=bool)
     # running state of the columns still refining, in the order of ``cols``
-    cols = np.arange(n)
-    total, l1, e = np.zeros(n, dtype=complex), np.zeros(n), np.full(n, math.inf)
+    cols = np.arange(n_cols)
+    total, l1 = np.zeros(n_cols, dtype=complex), np.zeros(n_cols)
+    e = np.full(n_cols, math.inf)
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(cfg.max_levels + 1):
-            s, a, nodes = level_terms(level, cols)
-            total += s
-            l1 += a
-            count += nodes
+            alpha, alphac, w = _ts_nodes(level)
+            step = max(1, _BLOCK_ELEMENTS // alpha.size)
+            for p, g in enumerate(parts):
+                lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
+                for i in range(lo, hi, step):
+                    block = slice(i, min(i + step, hi))
+                    vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
+                    total[block] += vals.sum(axis=1)
+                    l1[block] += np.abs(vals).sum(axis=1)
+            count += alpha.size
             h = _BASE_H / 2**level
             v = h * total
             ok = np.isfinite(total) & np.isfinite(l1)
@@ -184,25 +194,8 @@ def _refine(level_terms, n: int, cfg: QuadratureConfig) -> list[QuadratureResult
             evaluations=int(evals[i]),
             converged=bool(converged[i]),
         )
-        for i in range(n)
+        for i in range(n_cols)
     ]
-
-
-def _tanh_sinh(g, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
-    # integrals of n integrands over the open unit interval;
-    # g(level, alpha, alphac, cols) -> values, one row per column in cols
-    def level_terms(level, cols):
-        alpha, alphac, w = _ts_nodes(level)
-        sums = np.empty(cols.size, dtype=complex)
-        l1 = np.empty(cols.size)
-        step = max(1, _BLOCK_ELEMENTS // alpha.size)
-        for i in range(0, cols.size, step):
-            vals = w * np.atleast_2d(g(level, alpha, alphac, cols[i:i + step]))
-            sums[i:i + step] = vals.sum(axis=1)
-            l1[i:i + step] = np.abs(vals).sum(axis=1)
-        return sums, l1, alpha.size
-
-    return _refine(level_terms, n, cfg)
 
 
 def _combine(*parts: QuadratureResult) -> QuadratureResult:
@@ -227,35 +220,34 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
         x = np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)
         return span * np.asarray(f(x))
 
-    return _tanh_sinh(g, 1, cfg)[0]
+    return _tanh_sinh((g,), 1, cfg)[0]
 
 
-def half_line_nodes(level: int, split_point: float, tail: bool) -> np.ndarray:
+def half_line_nodes(level: int, tail: bool) -> np.ndarray:
     """The nodes tau new at ``level`` on the head (0, s] or the tail [s, inf)."""
     alpha = _ts_nodes(level)[0]
-    return split_point / alpha if tail else split_point * alpha
+    return _SPLIT / alpha if tail else _SPLIT * alpha
 
 
 def integrate_half_line(f, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
     """Integrals over (0, inf) of n integrands with integrable tails at once.
 
     ``f(level, tail, cols)`` returns the integrands ``cols`` (one row each)
-    at ``half_line_nodes(level, cfg.split_point, tail)``.  Head and tail run
-    as two level loops; a column's result is the sum of its two parts.
+    at ``half_line_nodes(level, tail)``.  The head and the tail of integral
+    i are columns i and n + i of one level loop, each with its own stop;
+    the result is the sum of the two.
     """
-    s = cfg.split_point
-
     def g_head(level, alpha, alphac, cols):
-        return s * np.asarray(f(level, False, cols))
+        return _SPLIT * np.asarray(f(level, False, cols))
 
     # tau = s/u maps [s, inf) to (0, 1]; evaluated as (f*tau)/u to keep
     # every intermediate in range.
     def g_tail(level, alpha, alphac, cols):
-        tau = s / alpha
+        tau = _SPLIT / alpha
         return (np.asarray(f(level, True, cols)) * tau) / alpha
 
-    heads = _tanh_sinh(g_head, n, cfg)
-    return [_combine(h, t) for h, t in zip(heads, _tanh_sinh(g_tail, n, cfg))]
+    parts = _tanh_sinh((g_head, g_tail), n, cfg)
+    return [_combine(h, t) for h, t in zip(parts[:n], parts[n:])]
 
 
 def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -267,6 +259,5 @@ def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = No
     cfg = cfg or QuadratureConfig()
     if tail.kind is TailKind.DIVERGENT:
         raise DivergentIntegralError("integrand has a non-integrable tail")
-    s = cfg.split_point
     return integrate_half_line(
-        lambda level, part, cols: f(half_line_nodes(level, s, part)), 1, cfg)[0]
+        lambda level, part, cols: f(half_line_nodes(level, part)), 1, cfg)[0]

@@ -131,6 +131,7 @@ def test_malformed_flags_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--omega", "nan"], ["--omega", "inf"], ["--omega", "0", "--rel-tol", "-1"],
+    ["--omega", "0.3", "--rel-tol", "inf"], ["--omega", "0.3", "--rel-tol", "nan"],
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess

@@ -180,6 +180,8 @@ def test_zero_coefficients_are_the_outside_band_ones():
 
 def test_cache_returns_same_object():
     assert coefficient_table(5, 2) is coefficient_table(5, 2)
+    # bounded like term_table, its caller on the evaluation path
+    assert coefficient_table.cache_info().maxsize == 1024
 
 
 def test_domain_errors():

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from latgreen import quadrature
 from latgreen.errors import DomainError
 from latgreen.green import (
     VAN_HOVE_ADJACENT_TOL,
@@ -167,15 +168,19 @@ def test_sweep_divergence_follows_tail_class(d):
     assert any(expected) == (d <= 2)
 
 
-def test_split_point_changes_nodes_not_values():
-    # the cached Bessel tables must follow the split point
-    for d in (3, 4):
-        grid = np.linspace(-d - 1.0, d + 1.0, 41)
-        ref = green_sweep(d, grid)
-        moved = green_sweep(d, grid, QuadratureConfig(split_point=2.0))
-        for a, b in zip(ref, moved):
-            assert a.converged and b.converged
-            assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+@pytest.mark.parametrize("d, omega, head, tail", [
+    (3, 0.5, 195, 389), (1, 0.9999999984289644, 195, 3113), (40, 45.0, 389, 49),
+])
+def test_head_and_tail_keep_their_own_stops(monkeypatch, d, omega, head, tail):
+    # head and tail share one level loop but stop at their own levels, so
+    # the evaluation counts are those of two separate loops
+    parts = []
+    combine = quadrature._combine
+    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
+    res = green_local(d, omega)
+    assert res.converged
+    assert [p.evaluations for p in parts[0]] == [head, tail]
+    assert res.evaluations == head + tail
 
 
 @pytest.mark.parametrize("d", [0, -3, 2.0, True])

@@ -211,8 +211,8 @@ def test_mixed_block_is_bitwise_per_piece(d):
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
     weights = np.array([term_table(d, j).weight for j in js.tolist()])
-    for tau in (half_line_nodes(4, 1.0, False), half_line_nodes(4, 1.0, True),
-                half_line_nodes(8, 1.0, True)):
+    for tau in (half_line_nodes(4, False), half_line_nodes(4, True),
+                half_line_nodes(8, True)):
         table = bessel_table(tau)
         got = eval_terms(d, js, term_exponents(d, omegas), table, weights)
         for j in set(js.tolist()):

@@ -7,6 +7,7 @@ import pytest
 from latgreen.bessel import bessel_k0
 from latgreen.errors import DivergentIntegralError
 from latgreen.integrand import TailClass, TailKind
+from latgreen import quadrature
 from latgreen.quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -78,17 +79,6 @@ def test_finite_plain_polynomial():
     assert res.value.real == pytest.approx(9.0, rel=1e-13)
 
 
-def test_split_point_invariance():
-    values = []
-    for s in (0.5, 1.0, 2.0):
-        cfg = QuadratureConfig(split_point=s)
-        res = integrate_semiinfinite(
-            lambda t: (2.0 / math.pi) * _k0_vec(t), EXP_TAIL, cfg
-        )
-        values.append(res.value.real)
-    assert max(values) - min(values) < 2e-13
-
-
 def test_error_estimate_is_honest():
     for f, exact in (
         (lambda t: np.exp(-t), 1.0),
@@ -146,12 +136,40 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_levels=2)
-    with pytest.raises(ValueError):
-        QuadratureConfig(split_point=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(split_point=math.inf)
     fast = QuadratureConfig.fast()
     assert fast.rel_tol > QuadratureConfig().rel_tol
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
+    {"max_levels": 5.0}, {"max_levels": True},
+])
+def test_config_rejects_at_construction(kwargs):
+    # a non-finite tolerance would accept any error; a float level count
+    # would fail later inside the level loop
+    with pytest.raises(ValueError):
+        QuadratureConfig(**kwargs)
+
+
+def test_head_and_tail_stop_independently(monkeypatch):
+    # head (0, 1] and tail [1, inf) are two columns of one level loop: the
+    # same head with another tail stops at the same level, with the same bits
+    parts = []
+    combine = quadrature._combine
+    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
+    exp_tail = integrate_semiinfinite(lambda t: np.exp(-t), EXP_TAIL)
+    power_tail = integrate_semiinfinite(
+        lambda t: np.exp(-np.minimum(t, 1.0)) * np.maximum(t, 1.0) ** -2.5,
+        TailClass(TailKind.POWER_LAW, -2.5),
+    )
+    (head, tail), (same_head, other_tail) = parts
+    assert exp_tail.converged and power_tail.converged
+    assert power_tail.value.real == pytest.approx(1.0 - math.exp(-1.0) / 3.0, abs=1e-14)
+    assert same_head == head
+    # the parts converge at different levels
+    assert head.evaluations < tail.evaluations
+    assert other_tail.evaluations < tail.evaluations
+    assert power_tail.evaluations == same_head.evaluations + other_tail.evaluations
 
 
 def test_finite_bad_interval():
