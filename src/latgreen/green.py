@@ -68,7 +68,7 @@ def _divergent_value(d: int, omega: float) -> complex:
     return complex(math.copysign(math.inf, omega), 0.0)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per (level, part)
+@functools.lru_cache(maxsize=None)  # one entry per evaluating level and part
 def _bessel_nodes(level: int, tail: bool) -> BesselTable:
     # read-only, since every caller shares the arrays
     table = bessel_table(half_line_nodes(level, tail))

@@ -59,8 +59,9 @@ VAN_HOVE_SNAP_TOL = 1e-13
 LOG_SPACE_POWER = 30
 
 # Most exponent*tau products (terms x rows x nodes) formed at once by
-# eval_terms: the d = 120 terms of one frequency on a level-8 node set
-# (1,556 nodes) fit, and the terms of a larger block run in groups.
+# eval_terms on a block of one piece: the d = 120 terms of one frequency on
+# a level-8 node set (1,556 nodes) fit, and the terms of a larger block run
+# in groups.
 _QTAU_ELEMENTS = 1 << 18
 
 
@@ -205,10 +206,12 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
     to j = -1.  Every row thus receives the terms of its piece with the
     arithmetic and in the order of a single frequency, so it does not
     depend on the rows it is batched with, and a term no row has is never
-    formed.  The exponent*tau products of at most d+1 terms, as many as a
-    single piece has, and of at most ``_QTAU_ELEMENTS`` elements (or of one
-    term) exist at once.  Underflowed terms contribute exactly 0; an
-    overflow shows as a non-finite value, which the quadrature flags.
+    formed.  A block of one piece forms the exponent*tau products of at
+    most d+1 terms, as many as the piece has, and of at most
+    ``_QTAU_ELEMENTS`` elements (or of one term) at once; a mixed block
+    forms them one term at a time, on the rows that use it only.
+    Underflowed terms contribute exactly 0; an overflow shows as a
+    non-finite value, which the quadrature flags.
     """
     tau = table.tau
     n = exponents.shape[0]
@@ -229,15 +232,16 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
               *range(d + 1, 2 * d + 1 - j_lo), *([2 * d + 1] if bottom else [])]
     re = np.zeros((n, tau.size))
     im = np.zeros_like(re)
-    g = max(1, min(_QTAU_ELEMENTS // re.size, d + 1))  # terms per group
+    # terms per group; a mixed block forms each term's products on its rows
+    g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // re.size, d + 1))
     slots = terms.slots
     # kbar^{d-m} ibar^m (or its log) is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for a in range(0, len(ks), g):
             group = ks[a:a + g]
-            qtau = exponents.take(group, axis=1).T[:, :, None] * tau
-            for k, q in zip(group, qtau):
+            qtau = None if mixed else exponents.take(group, axis=1).T[:, :, None] * tau
+            for i, k in enumerate(group):
                 m, w, imag, log_space = slots[k]
                 f = factors.get(m)
                 if f is None:
@@ -252,9 +256,10 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
                     # D m < d [bottom, cut[k]) and D m = d [0, bottom)
                     rows = (slice(cut[k], top if k else n) if k <= d
                             else slice(bottom if k <= 2 * d else 0, cut[k]))
-                    w = weights[rows, k, None]
-                    if rows.stop - rows.start < n:
-                        q, acc = q[rows], acc[rows]
+                    w, acc = weights[rows, k, None], acc[rows]
+                    q = exponents[rows, k, None] * tau
+                else:
+                    q = qtau[i]
                 mag = np.exp(f + q) if log_space else f * np.exp(q)
                 acc += w * mag
             qtau = q = None  # free the products before the next group's

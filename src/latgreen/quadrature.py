@@ -17,6 +17,12 @@ levels with a floor of one ulp; in addition the running L1 sum of sampled
 magnitudes provides a roundoff floor ``~eps * integral(|f|)``, which is what
 limits attainable accuracy for the strongly cancelling large-d integrands.
 
+The stop tests start at level 2, so every column evaluates levels 0, 1
+and 2.  The first step of the loop therefore evaluates their 49 nodes
+(13 + 12 + 24) in one call, and each later level its new nodes in one
+call.  Each level is still summed on its own slice of nodes, in level
+order, so no sum depends on how its nodes were grouped into calls.
+
 One level loop serves many integrals at once, one column each (a frequency
 grid; a single integral is one column; the head and the tail of a half-line
 integral are two).  Each column stops on its own: by the rule above; when
@@ -28,6 +34,7 @@ nonconverged with an infinite error estimate.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +62,15 @@ _BASE_H = 1.0
 # Where a half-line integral splits into head (0, s] and tail [s, inf).
 _SPLIT = 1.0
 
+# The first step of the level loop evaluates the nodes of the levels below
+# this one in one call.
+_FIRST_LEVELS = 3
+
+# Largest max_levels accepted: the nodes new at a level number about
+# 6.1 * 2^level, so a larger budget could exhaust memory before a column
+# comes back nonconverged.
+_MAX_LEVELS = 16
+
 # Largest (columns x nodes) block evaluated at once: the active columns of
 # a level are split to stay within it, which bounds the memory of a sweep.
 _BLOCK_ELEMENTS = 1 << 14
@@ -71,8 +87,9 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive and finite")
         if not isinstance(self.max_levels, int) or isinstance(self.max_levels, bool):
             raise ValueError(f"max_levels must be an integer, got {self.max_levels!r}")
-        if self.max_levels < 3:
-            raise ValueError("max_levels must be >= 3")
+        if not _FIRST_LEVELS <= self.max_levels <= _MAX_LEVELS:
+            raise ValueError(f"max_levels must be in [{_FIRST_LEVELS}, {_MAX_LEVELS}], "
+                             f"got {self.max_levels}")
 
     @classmethod
     def fast(cls) -> "QuadratureConfig":
@@ -98,9 +115,9 @@ def _new_us(level: int) -> np.ndarray:
     return np.concatenate((-h * ks[::-1], h * ks))
 
 
-@functools.lru_cache(maxsize=None)  # one entry per level
-def _ts_nodes(level: int):
-    """Tanh-sinh nodes on (0, 1): (alpha, 1-alpha, weight), both ends stable."""
+def _level_nodes(level: int):
+    """Tanh-sinh nodes new at ``level`` on (0, 1): (alpha, 1-alpha, weight),
+    both ends stable."""
     u = _new_us(level)
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
@@ -110,10 +127,28 @@ def _ts_nodes(level: int):
     alphac = np.where(v < 0, hi, lo)
     w = 0.25 * math.pi * np.cosh(u) * 4.0 * e / (1.0 + e) ** 2
     keep = (alpha > 0) & (alphac > 0) & (w > 0)
-    nodes = (alpha[keep], alphac[keep], w[keep])
+    return alpha[keep], alphac[keep], w[keep]
+
+
+@functools.lru_cache(maxsize=None)  # one entry per evaluating level
+def _ts_nodes(level: int):
+    """The nodes the level loop evaluates at ``level``: (alpha, 1-alpha,
+    weight, ends).
+
+    Level 0 is the first step: the nodes of levels 0, 1 and 2, in that
+    order, those of level k ending at ``ends[k]``.  A level from 3 on has
+    the nodes new at it, and ``ends`` is their count.  Levels 1 and 2
+    evaluate nothing of their own.
+    """
+    if 0 < level < _FIRST_LEVELS:
+        raise ValueError(f"level {level} is part of the first step, level 0")
+    levels = range(_FIRST_LEVELS) if level == 0 else (level,)
+    per_level = [_level_nodes(k) for k in levels]
+    nodes = tuple(np.concatenate(arrs) for arrs in zip(*per_level))
     for arr in nodes:  # shared by every caller
         arr.flags.writeable = False
-    return nodes
+    ends = tuple(itertools.accumulate(alpha.size for alpha, _, _ in per_level))
+    return (*nodes, ends)
 
 
 def _cabs(z: np.ndarray) -> np.ndarray:
@@ -128,10 +163,15 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
 
     Column p*n + i is integral i of part p, whose
     ``g(level, alpha, alphac, cols)`` returns the integrands ``cols`` (one
-    row each) at the nodes new at that level; no block of columns spans two
-    parts.  Each column stops on its own: when it meets the stop rule, when
-    its error can no longer fall below the tolerance, or when its sums stop
-    being finite.
+    row each) at the nodes that ``_ts_nodes(level)`` evaluates; no block of
+    columns spans two parts.  The first step, level 0, evaluates the nodes
+    of levels 0, 1 and 2 in one ``g`` call per block, and levels 1 and 2
+    only sum their slices of it; every later level makes its own call.  So
+    a part whose columns stop at level L >= 2 makes L - 1 calls per block,
+    and a column that stops earlier, on a non-finite sum, reports the 49
+    evaluations of the first step.  Each column stops on its own: when it
+    meets the stop rule, when its error can no longer fall below the
+    tolerance, or when its sums stop being finite.
     """
     n_cols = len(parts) * n
     # per column: value, error, roundoff floor and evaluations at its stop
@@ -144,16 +184,26 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(cfg.max_levels + 1):
-            alpha, alphac, w = _ts_nodes(level)
-            step = max(1, _BLOCK_ELEMENTS // alpha.size)
-            for p, g in enumerate(parts):
-                lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
-                for i in range(lo, hi, step):
-                    block = slice(i, min(i + step, hi))
-                    vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
-                    total[block] += vals.sum(axis=1)
-                    l1[block] += np.abs(vals).sum(axis=1)
-            count += alpha.size
+            if level == 0 or level >= _FIRST_LEVELS:
+                # sums[k] and l1s[k]: each column's weighted sum and L1 sum
+                # over the nodes of level ``level + k``
+                alpha, alphac, w, ends = _ts_nodes(level)
+                sums = np.empty((len(ends), cols.size), dtype=complex)
+                l1s = np.empty((len(ends), cols.size))
+                step = max(1, _BLOCK_ELEMENTS // alpha.size)
+                for p, g in enumerate(parts):
+                    lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
+                    for i in range(lo, hi, step):
+                        block = slice(i, min(i + step, hi))
+                        vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
+                        mags = np.abs(vals)
+                        for k, (a, b) in enumerate(zip((0, *ends), ends)):
+                            sums[k, block] = vals[:, a:b].sum(axis=1)
+                            l1s[k, block] = mags[:, a:b].sum(axis=1)
+                count += alpha.size
+                first = level
+            total += sums[level - first]
+            l1 += l1s[level - first]
             h = _BASE_H / 2**level
             v = h * total
             ok = np.isfinite(total) & np.isfinite(l1)
@@ -179,6 +229,7 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
                 evals[done] = count
                 keep = ~stop
                 cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
+                sums, l1s = sums[:, keep], l1s[:, keep]
                 if cols.size == 0:
                     break
             prev = v
@@ -224,7 +275,8 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
 
 
 def half_line_nodes(level: int, tail: bool) -> np.ndarray:
-    """The nodes tau new at ``level`` on the head (0, s] or the tail [s, inf)."""
+    """The nodes tau that the level loop evaluates at ``level`` (see
+    ``_ts_nodes``) on the head (0, s] or the tail [s, inf)."""
     alpha = _ts_nodes(level)[0]
     return _SPLIT / alpha if tail else _SPLIT * alpha
 

@@ -201,8 +201,8 @@ def _per_piece_reference(specs, table):
 def test_mixed_block_is_bitwise_per_piece(d):
     # one block of rows from five pieces (outside the band on both sides
     # among them), against each piece evaluated on its own; at d = 40 the
-    # block mixes direct and log-space terms, and on the level-8 nodes its
-    # terms run in groups
+    # block mixes direct and log-space terms, and the 49 nodes of the
+    # first step are those every column starts with
     omegas = np.sort(np.concatenate([
         [-d - 0.7, -d + 0.3, -d + 1.2, d - 0.5, d + 1.5],
         np.linspace(-d + 2.1, d - 2.1, 7),
@@ -211,8 +211,8 @@ def test_mixed_block_is_bitwise_per_piece(d):
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
     weights = np.array([term_table(d, j).weight for j in js.tolist()])
-    for tau in (half_line_nodes(4, False), half_line_nodes(4, True),
-                half_line_nodes(8, True)):
+    for tau in (half_line_nodes(0, True), half_line_nodes(4, False),
+                half_line_nodes(4, True), half_line_nodes(8, True)):
         table = bessel_table(tau)
         got = eval_terms(d, js, term_exponents(d, omegas), table, weights)
         for j in set(js.tolist()):

@@ -1,4 +1,6 @@
 """Known-integral and configuration tests for the double-exponential rules."""
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 
 from latgreen.bessel import bessel_k0
 from latgreen.errors import DivergentIntegralError
-from latgreen.integrand import TailClass, TailKind
-from latgreen import quadrature
+from latgreen.integrand import TailClass, TailKind, bessel_table
+from latgreen import green, quadrature
+from latgreen.green import green_sweep
+from latgreen.oracles import dos_normalization
 from latgreen.quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -180,3 +184,174 @@ def test_finite_bad_interval():
 def test_complex_integrand():
     res = integrate_semiinfinite(lambda t: (1.0 + 2.0j) * np.exp(-t), EXP_TAIL)
     assert res.value == pytest.approx(1.0 + 2.0j, abs=1e-13)
+
+
+@pytest.mark.parametrize("max_levels", [17, 30])
+def test_config_rejects_a_level_budget_too_large_to_build(max_levels):
+    # the nodes new at a level number about 6.1 * 2^level, so the budget is
+    # refused before any node set is built
+    before = quadrature._ts_nodes.cache_info()
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_levels=max_levels)
+    assert quadrature._ts_nodes.cache_info() == before
+
+
+@functools.lru_cache(maxsize=None)
+def _per_level_nodes(level):
+    nodes = quadrature._level_nodes(level)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
+def _tanh_sinh_reference(parts, n, cfg):
+    """The level loop with one ``g`` call per level, levels 0, 1 and 2
+    included: the loop that the first step replaced, kept as the bitwise
+    reference for it."""
+    _EPS, _BASE_H, _cabs = quadrature._EPS, quadrature._BASE_H, quadrature._cabs
+    n_cols = len(parts) * n
+    value, err, floor = np.empty(n_cols, dtype=complex), np.empty(n_cols), np.empty(n_cols)
+    evals, finite = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=bool)
+    cols = np.arange(n_cols)
+    total, l1 = np.zeros(n_cols, dtype=complex), np.zeros(n_cols)
+    e = np.full(n_cols, math.inf)
+    count = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(cfg.max_levels + 1):
+            alpha, alphac, w = _per_level_nodes(level)
+            step = max(1, quadrature._BLOCK_ELEMENTS // alpha.size)
+            for p, g in enumerate(parts):
+                lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
+                for i in range(lo, hi, step):
+                    block = slice(i, min(i + step, hi))
+                    vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
+                    total[block] += vals.sum(axis=1)
+                    l1[block] += np.abs(vals).sum(axis=1)
+            count += alpha.size
+            h = _BASE_H / 2**level
+            v = h * total
+            ok = np.isfinite(total) & np.isfinite(l1)
+            stop = ~ok
+            if level >= 1:
+                e = _cabs(v - prev)
+            if level >= 2:
+                fl = 2.0 * _EPS * h * l1
+                tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(v))
+                stop |= e <= np.maximum(tol, 4.0 * fl)
+                stop |= (fl > tol) & (e <= 100.0 * fl)
+            if level == cfg.max_levels:
+                stop[:] = True
+            if stop.any():
+                done = cols[stop]
+                value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
+                floor[done] = 2.0 * _EPS * h * l1[stop]
+                evals[done] = count
+                keep = ~stop
+                cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
+                if cols.size == 0:
+                    break
+            prev = v
+        est = np.maximum(np.maximum(np.where(np.isfinite(err), err, 0.0), floor),
+                         _EPS * _cabs(value))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(value))
+        est[~finite] = math.inf
+        converged = finite & (est <= tol)
+    return [QuadratureResult(value=complex(value[i]), abs_error_estimate=float(est[i]),
+                             evaluations=int(evals[i]), converged=bool(converged[i]))
+            for i in range(n_cols)]
+
+
+def _run_reference(monkeypatch, fn):
+    # fn() run by the per-level loop, with the Bessel tables of sweeps on
+    # the nodes of single levels
+    @functools.lru_cache(maxsize=None)
+    def bessel_nodes(level, tail):
+        alpha = _per_level_nodes(level)[0]
+        return bessel_table(quadrature._SPLIT / alpha if tail else quadrature._SPLIT * alpha)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_tanh_sinh", _tanh_sinh_reference)
+        m.setattr(green, "_bessel_nodes", bessel_nodes)
+        return fn()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_first_step_is_bitwise_the_per_level_loop_for_sweeps(monkeypatch, d):
+    # the band interior, every van Hove point (the d = 1, 2 divergences
+    # among them) and offsets from it on both sides, and outside the band
+    van_hove = np.arange(-d, d + 1, 2.0)
+    offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3])
+    grid = np.concatenate([np.linspace(-d - 1.5, d + 1.5, 37),
+                           (van_hove[:, None] + offsets).ravel()])
+    got = green_sweep(d, grid)
+    ref = _run_reference(monkeypatch, lambda: green_sweep(d, grid))
+    assert [repr(r) for r in got] == [repr(r) for r in ref]
+    assert any(not r.converged for r in got) == (d <= 2)
+
+
+@pytest.mark.parametrize("f, a, b, cfg", [
+    (lambda x: -np.log(x), 0.0, 1.0, QuadratureConfig()),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, QuadratureConfig()),
+    (lambda x: 3.0 * x**2, -1.0, 2.0, QuadratureConfig()),
+    (lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0, QuadratureConfig(max_levels=3)),
+    (lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0, QuadratureConfig()),
+    (lambda x: np.exp(7j * x) / (1.0 + x * x), -2.0, 3.0, QuadratureConfig.fast()),
+])
+def test_first_step_is_bitwise_the_per_level_loop_for_finite_integrals(monkeypatch, f, a, b, cfg):
+    got = integrate_finite(f, a, b, cfg)
+    ref = _run_reference(monkeypatch, lambda: integrate_finite(f, a, b, cfg))
+    assert repr(got) == repr(ref)
+
+
+def test_oracle_is_bitwise_the_per_level_loop(monkeypatch):
+    # an outer integral over frequencies whose integrand is itself a sweep
+    got = dos_normalization(3)
+    assert got == _run_reference(monkeypatch, lambda: dos_normalization(3))
+
+
+def _stop_level(evaluations):
+    # the level at which a column with this many evaluations stopped
+    count = quadrature._ts_nodes(0)[0].size
+    level = 2
+    while count < evaluations:
+        level += 1
+        count += quadrature._ts_nodes(level)[0].size
+    assert count == evaluations
+    return level
+
+
+def test_a_part_that_stops_at_level_l_makes_l_minus_1_calls():
+    # a smooth part stops early, a kink late; each counts its own calls
+    calls = {"smooth": 0, "kink": 0}
+
+    def part(name, f):
+        def g(level, alpha, alphac, cols):
+            calls[name] += 1
+            return np.tile(f(alpha), (len(cols), 1))
+        return g
+
+    smooth, kink = quadrature._tanh_sinh(
+        (part("smooth", np.exp), part("kink", lambda x: np.abs(x - 0.3) ** 0.5)),
+        1, QuadratureConfig(max_levels=9))
+    levels = {"smooth": _stop_level(smooth.evaluations), "kink": _stop_level(kink.evaluations)}
+    assert levels["smooth"] < levels["kink"]
+    assert calls == {name: level - 1 for name, level in levels.items()}
+
+
+def test_non_finite_first_level_reports_the_first_step(monkeypatch):
+    # the sums are NaN at level 0, yet levels 1 and 2 were evaluated with it
+    parts = []
+    combine = quadrature._combine
+    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
+    res = integrate_semiinfinite(lambda t: np.full(t.shape, math.nan), EXP_TAIL)
+    assert not res.converged and res.abs_error_estimate == math.inf
+    assert [p.evaluations for p in parts[0]] == [49, 49]
+    assert res.evaluations == 98
+    # the evaluation count is all that differs from the per-level loop,
+    # which stopped after the 13 nodes of level 0
+    f = lambda x: np.exp(800.0 * x) - np.exp(800.0 * x)  # noqa: E731
+    res = integrate_finite(f, 0.0, 1.0)
+    ref = _run_reference(monkeypatch, lambda: integrate_finite(f, 0.0, 1.0))
+    assert not res.converged and res.abs_error_estimate == math.inf
+    assert (res.evaluations, ref.evaluations) == (49, 13)
+    assert repr(res) == repr(dataclasses.replace(ref, evaluations=49))
