@@ -128,11 +128,12 @@ _I0E_CHEB = (
 
 @dataclass(frozen=True)
 class BesselPair:
-    """Scaled pair kbar = e^{+tau}(2/pi)K0(tau), ibar = e^{-tau} 2 I0(tau)."""
+    """Scaled pair kbar = e^{+tau}(2/pi)K0(tau), ibar = e^{-tau} 2 I0(tau)
+    at tau, a scalar or an array of nodes (then all three are arrays)."""
 
-    kbar: float
-    ibar: float
-    tau: float
+    kbar: float | np.ndarray
+    ibar: float | np.ndarray
+    tau: float | np.ndarray
 
 
 def _horner(coeffs, x):

@@ -114,7 +114,7 @@ def cmd_sweep(args) -> int:
         print("error: --steps must be >= 2", file=sys.stderr)
         return 1
     grid = np.linspace(args.omega_min, args.omega_max, args.steps)
-    results = green_sweep(args.d, [float(w) for w in grid], _cfg(args))
+    results = green_sweep(args.d, grid, _cfg(args))
     try:
         _emit([_record(r) for r in results], args.format, args.out)
     except OSError as exc:
@@ -124,9 +124,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if not 0 <= args.kmax <= 200:
-        print("error: --kmax must be in [0, 200]", file=sys.stderr)
-        return 1
     from . import oracles  # loaded on first use, not with the CLI
 
     table = oracles.moments(args.d, args.kmax)
@@ -140,9 +137,6 @@ def cmd_moments(args) -> int:
         }
         for k, m in enumerate(table.moments)
     ]
-    if args.format == "json":
-        for rec in records:  # big integers serialize exactly in JSON
-            rec["numerator"] = int(rec["numerator"])
     _emit(records, args.format, None,
           fields=["d", "k", "numerator", "denominator", "decimal"])
     return 0

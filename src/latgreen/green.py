@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import BesselPair
 from .coefficients import check_dimension, staircase_js
-from .integrand import BesselTable, bessel_table, eval_terms, term_exponents, term_table
+from .integrand import bessel_table, eval_terms, term_exponents, term_table
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
 # Not used here since sweeps are batched, but perfbench's tracer (spans.py)
@@ -69,7 +70,7 @@ def _divergent_value(d: int, omega: float) -> complex:
 
 
 @functools.lru_cache(maxsize=None)  # one entry per evaluating level and part
-def _bessel_nodes(level: int, tail: bool) -> BesselTable:
+def _bessel_nodes(level: int, tail: bool) -> BesselPair:
     # read-only, since every caller shares the arrays
     table = bessel_table(half_line_nodes(level, tail))
     for arr in vars(table).values():

@@ -1,15 +1,26 @@
-"""Overflow-safe assembly of the Bessel-product integrand for given (d, omega).
+"""Assembly of the Bessel-product integrand for given (d, omega).
 
 Writing K = kbar e^{-tau} and I = ibar e^{+tau}, each product
 K^{d-m} I^m e^{-/+ omega tau} collapses to kbar^{d-m} ibar^m e^{q tau} with a
-single analytically-formed net exponent q = 2m - d -/+ omega, which is always
-<= 0 (and exactly 0 only at a van Hove frequency).  Exponentials are never
-applied to K and I separately, so neither overflow nor underflow can occur
-before the final, decaying factor.
+single analytically-formed net exponent q = 2m - d -/+ omega.  Every term
+that piece j forms has q <= 0 (exactly 0 only at a van Hove frequency), so
+the exponential growth of K and I never reaches floating point, and each
+term is the plain product w * (kbar^{d-m} ibar^m * e^{q tau}).
+
+That product has a limit at large d.  As tau -> 0, ibar -> 2 while kbar
+grows like (2/pi)|ln tau|, to about 437 at the smallest head node
+(tau ~ 1e-298), so kbar^d alone exceeds the double range there from
+d ~ 117 on, and the weighted terms of the band centre already from
+d ~ 106.  No other form of the term can help: since q <= 0, e^{q tau} <= 1
+cannot bring an overflowed power back into range, and where the power
+overflows |q tau| is below one ulp of 1, so exp(log power + q tau)
+overflows at exactly the same nodes.  Such a term shows as a non-finite
+value, and the quadrature flags the result.  Outside the band the one
+term left, ibar^d e^{q tau}, stays finite at any d.
 
 Only q depends on omega, and a term's phase depends only on (d, m) and its
-family, never on the piece j.  The Bessel pair lives in a ``BesselTable``
-built once per set of nodes; ``term_table`` holds the float weights of
+family, never on the piece j.  The Bessel pair is a ``BesselPair`` of
+arrays built once per set of nodes; ``term_table`` holds the float weights of
 piece j; ``eval_terms`` evaluates any frequencies, of one piece or of many,
 on such a table as one term-major (frequencies x nodes) block.
 
@@ -29,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import i0e, k0e
+from .bessel import BesselPair, i0e, k0e
 from .coefficients import PhasedInteger, coefficient_table, staircase_j
 
 __all__ = [
@@ -38,7 +49,6 @@ __all__ = [
     "TermTable",
     "TailKind",
     "TailClass",
-    "BesselTable",
     "bessel_table",
     "build_integrand",
     "term_exponents",
@@ -47,16 +57,12 @@ __all__ = [
     "eval_terms",
     "tail_class",
     "VAN_HOVE_SNAP_TOL",
-    "LOG_SPACE_POWER",
 ]
 
 # omega is treated as sitting exactly on a van Hove frequency when closer
 # than this; an exactly-zero exponent switches the tail handling, and the
 # tolerance matches the representation error of the input.
 VAN_HOVE_SNAP_TOL = 1e-13
-
-# Bessel powers at or above this order are accumulated in log space.
-LOG_SPACE_POWER = 30
 
 # Most exponent*tau products (terms x rows x nodes) formed at once by
 # eval_terms on a block of one piece: the d = 120 terms of one frequency on
@@ -95,16 +101,16 @@ class TermTable:
     slots d-j .. 2d-j.  ``order`` lists those with a nonzero weight as the
     formula adds them, C m = 0..j, then D m = 0..d-j-1: all d+1 inside the
     band, and only the m = d term outside it, slot 2d+1 for j = -1 and
-    slot 0 for j = d.  ``slots[k]`` is (m, weight, imag, log_space): the
-    weight is the term's sign times its coefficient magnitude as a float,
-    negated for the phases 2 and 3, and 0.0 in a slot that piece j lacks
-    or whose coefficient is zero; ``imag`` says whether the term adds to
-    the imaginary part.  A slot's m, imag and log_space depend only on d.
+    slot 0 for j = d.  ``slots[k]`` is (m, weight, imag): the weight is
+    the term's sign times its coefficient magnitude as a float, negated for
+    the phases 2 and 3, and 0.0 in a slot that piece j lacks or whose
+    coefficient is zero; ``imag`` says whether the term adds to the
+    imaginary part.  A slot's m and imag depend only on d.
     """
 
     d: int
     j: int
-    slots: tuple[tuple[int, float, bool, bool], ...]
+    slots: tuple[tuple[int, float, bool], ...]
     order: tuple[int, ...]
 
     @property
@@ -162,34 +168,19 @@ def term_table(d: int, j: int) -> TermTable:
         weight[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
     ms = (*range(d, -1, -1), *range(d + 1))
     # both families carry the phase -(d+m) or d+m mod 4: odd means imaginary
-    slots = tuple((m, w, (d + m) % 2 == 1, max(d - m, m) >= LOG_SPACE_POWER)
-                  for m, w in zip(ms, weight))
+    slots = tuple((m, w, (d + m) % 2 == 1) for m, w in zip(ms, weight))
     order = tuple(k for k in (*range(d, d - j - 1, -1), *range(d + 1, 2 * d - j + 1))
                   if weight[k] != 0.0)
     return TermTable(d=d, j=j, slots=slots, order=order)
 
 
-@dataclass(frozen=True)
-class BesselTable:
-    """The scaled pair kbar = (2/pi) k0e(tau), ibar = 2 i0e(tau) and their
-    logarithms on fixed nodes tau (1-D)."""
-
-    tau: np.ndarray
-    kbar: np.ndarray
-    ibar: np.ndarray
-    log_kbar: np.ndarray
-    log_ibar: np.ndarray
-
-
-def bessel_table(tau) -> BesselTable:
+def bessel_table(tau) -> BesselPair:
     """Evaluate the scaled Bessel pair once on the nodes ``tau`` (1-D)."""
     tau = np.asarray(tau, dtype=float)
-    kbar = (2.0 / math.pi) * k0e(tau)
-    ibar = 2.0 * i0e(tau)
-    return BesselTable(tau, kbar, ibar, np.log(kbar), np.log(ibar))
+    return BesselPair(kbar=(2.0 / math.pi) * k0e(tau), ibar=2.0 * i0e(tau), tau=tau)
 
 
-def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
+def eval_terms(d: int, js, exponents: np.ndarray, table: BesselPair,
                weights: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the integrand of several frequencies on one Bessel table.
 
@@ -235,21 +226,17 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
     # terms per group; a mixed block forms each term's products on its rows
     g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // re.size, d + 1))
     slots = terms.slots
-    # kbar^{d-m} ibar^m (or its log) is shared by the two terms of each m
+    # kbar^{d-m} ibar^m is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for a in range(0, len(ks), g):
             group = ks[a:a + g]
             qtau = None if mixed else exponents.take(group, axis=1).T[:, :, None] * tau
             for i, k in enumerate(group):
-                m, w, imag, log_space = slots[k]
+                m, w, imag = slots[k]
                 f = factors.get(m)
                 if f is None:
-                    if log_space:
-                        f = (d - m) * table.log_kbar + m * table.log_ibar
-                    else:
-                        f = table.kbar**(d - m) * table.ibar**m
-                    factors[m] = f
+                    f = factors[m] = table.kbar**(d - m) * table.ibar**m
                 acc = im if imag else re
                 if mixed:
                     # C m < d reaches [cut[k], top), C m = d [top, n),
@@ -260,8 +247,7 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselTable,
                     q = exponents[rows, k, None] * tau
                 else:
                     q = qtau[i]
-                mag = np.exp(f + q) if log_space else f * np.exp(q)
-                acc += w * mag
+                acc += w * (f * np.exp(q))
             qtau = q = None  # free the products before the next group's
         return (re + 1j * im) * 0.5**d
 

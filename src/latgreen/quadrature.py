@@ -28,8 +28,9 @@ grid; a single integral is one column; the head and the tail of a half-line
 integral are two).  Each column stops on its own: by the rule above; when
 its floor exceeds its tolerance and its error is within 100 floors, since
 it can then only end nonconverged and further levels sample roundoff noise;
-or as soon as its sums are not finite, in which case it comes back
-nonconverged with an infinite error estimate.
+or as soon as its sums, or those of another part of the same integral,
+are not finite, in which case it comes back nonconverged with an infinite
+error estimate.
 """
 from __future__ import annotations
 
@@ -171,7 +172,9 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
     and a column that stops earlier, on a non-finite sum, reports the 49
     evaluations of the first step.  Each column stops on its own: when it
     meets the stop rule, when its error can no longer fall below the
-    tolerance, or when its sums stop being finite.
+    tolerance, or when its sums stop being finite.  Since a non-finite part
+    makes the whole integral non-finite, every part of integral i still
+    refining stops with it, at the same level, and is reported non-finite.
     """
     n_cols = len(parts) * n
     # per column: value, error, roundoff floor and evaluations at its stop
@@ -223,6 +226,13 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
             if level == cfg.max_levels:
                 stop[:] = True
             if stop.any():
+                if not ok.all():
+                    # a non-finite sum leaves its integral non-finite
+                    # whatever the other parts give: they stop with it
+                    broken = np.zeros(n, dtype=bool)
+                    broken[cols[~ok] % n] = True
+                    ok &= ~broken[cols % n]
+                    stop |= ~ok
                 done = cols[stop]
                 value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
                 floor[done] = 2.0 * _EPS * h * l1[stop]

@@ -130,15 +130,19 @@ def test_malformed_flags_exit_one(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--omega", "nan"], ["--omega", "inf"], ["--omega", "0", "--rel-tol", "-1"],
-    ["--omega", "0.3", "--rel-tol", "inf"], ["--omega", "0.3", "--rel-tol", "nan"],
+    ["eval", "--d", "3", "--omega", "nan"], ["eval", "--d", "3", "--omega", "inf"],
+    ["eval", "--d", "3", "--omega", "0", "--rel-tol", "-1"],
+    ["eval", "--d", "3", "--omega", "0.3", "--rel-tol", "inf"],
+    ["eval", "--d", "3", "--omega", "0.3", "--rel-tol", "nan"],
+    # the library's own kmax check, turned into one error line
+    ["moments", "--d", "3", "--kmax", "201"], ["moments", "--d", "3", "--kmax", "-1"],
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "latgreen.cli", "eval", "--d", "3", *argv],
+        [sys.executable, "-m", "latgreen.cli", *argv],
         capture_output=True, text=True, env=_subprocess_env(),
     )
     assert proc.returncode == 1

@@ -125,9 +125,9 @@ def test_sweep_empty():
 def test_sweep_is_bitwise_pointwise(d):
     # more frequencies than one block holds from level 5 on, across every
     # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
-    # among them); d = 40 mixes direct and log-space terms, d = 80 has only
-    # log-space terms, and at d = 120 the in-band rows are NaN next to the
-    # finite outside-band ones
+    # among them); d = 40 and 80 form powers up to kbar^80 as plain
+    # products, and at d = 120 the in-band rows are NaN next to the finite
+    # outside-band ones
     grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), np.arange(-d, d + 1, 2.0)])
     swept = green_sweep(d, grid)
     assert {r.piece_j for r in swept} == set(range(-1, d + 1))
@@ -245,3 +245,11 @@ def test_large_dimension_band_centre():
     # sqrt(d/2) A_d(0) approaches the Gaussian value 1/sqrt(2 pi)
     val = math.sqrt(10.0) * dos(20, 0.0, QuadratureConfig.fast())
     assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=0.02)
+
+
+def test_a_non_finite_head_stops_the_tail_at_d120():
+    # in the band at d = 120 the head's sums overflow at level 0; the tail
+    # used to refine on to level 3 (146 evaluations) for a NaN result
+    res = green_local(120, 0.0)
+    assert not res.converged and res.abs_error == math.inf
+    assert res.evaluations == 98

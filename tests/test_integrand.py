@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from latgreen.bessel import bessel_i0, bessel_k0
-from latgreen.coefficients import coefficient_table
+from latgreen.coefficients import coefficient_table, staircase_js
 from latgreen.errors import DomainError
 from latgreen.integrand import (
-    LOG_SPACE_POWER,
     TailKind,
     VAN_HOVE_SNAP_TOL,
     bessel_table,
@@ -23,28 +22,25 @@ from latgreen.integrand import (
 from latgreen.quadrature import half_line_nodes
 
 
-def _mpmath_reference(d, omega, tau, dps=50):
+def _mpmath_reference_and_scale(d, omega, tau, dps=50):
     """Recompute the assembled integrand with mpmath Bessel functions and
-    exact complex coefficient arithmetic; independent of the scaled-pair
-    evaluation path."""
+    exact complex coefficient arithmetic, independent of the scaled-pair
+    evaluation path, and the L1 sum of its terms (see ``_l1_scale``)."""
     with mp.workdps(dps):
         tau_mp = mp.mpf(tau)
         K = 2 / mp.pi * mp.besselk(0, tau_mp)
         I = 2 * mp.besseli(0, tau_mp)
         table = coefficient_table(d, build_integrand(d, omega).j)
-        total = mp.mpc(0)
-        for m, coeff in enumerate(table.c):
-            total += (
-                mp.mpc(coeff.complex_value)
-                * K ** (d - m) * I**m * mp.e ** (-mp.mpf(omega) * tau_mp)
-            )
-        for m, coeff in enumerate(table.dcoef):
-            total -= (
-                mp.mpc(coeff.complex_value)
-                * K ** (d - m) * I**m * mp.e ** (mp.mpf(omega) * tau_mp)
-            )
-        total /= mp.mpf(2) ** d
-        return complex(total)
+        terms = [mp.mpc(coeff.complex_value) * K ** (d - m) * I**m
+                 * mp.e ** (-mp.mpf(omega) * tau_mp) for m, coeff in enumerate(table.c)]
+        terms += [-mp.mpc(coeff.complex_value) * K ** (d - m) * I**m
+                  * mp.e ** (mp.mpf(omega) * tau_mp) for m, coeff in enumerate(table.dcoef)]
+        scale = mp.mpf(2) ** -d
+        return complex(mp.fsum(terms) * scale), float(mp.fsum(map(abs, terms)) * scale)
+
+
+def _mpmath_reference(d, omega, tau, dps=50):
+    return _mpmath_reference_and_scale(d, omega, tau, dps)[0]
 
 
 def _l1_scale(d, omega, tau):
@@ -71,13 +67,33 @@ def test_against_mpmath(d, omega):
         assert abs(got - ref) <= 5e-14 * scale
 
 
-def test_log_space_path_matches_mpmath():
-    # around and above the order-30 switch to log-space accumulation
-    for d in (29, 30, 31, 40):
+def test_large_d_terms_match_mpmath():
+    # every term is the plain product kbar^{d-m} ibar^m e^{q tau}, at any d;
+    # the L1 scale is formed in mpmath, since _l1_scale overflows at
+    # d = 120, tau = 8, and an infinite scale would pass any error
+    for d in (29, 30, 31, 40, 80, 120):
         for tau in (0.5, 2.0, 8.0):
             got = eval_integrand(build_integrand(d, 0.25), tau)
-            ref = _mpmath_reference(d, 0.25, tau, dps=80)
-            assert abs(got - ref) <= 1e-12 * _l1_scale(d, 0.25, tau)
+            ref, scale = _mpmath_reference_and_scale(d, 0.25, tau, dps=80)
+            assert math.isfinite(scale)
+            assert abs(got - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), 12, 20, 40, 80, 120])
+def test_every_formed_term_has_a_nonpositive_exponent(d):
+    # the premise of plain products: e^{q tau} <= 1 for every term a piece
+    # forms, so the exponential never brings an overflowed power back into
+    # range, and no other form of the term would stay finite where it fails
+    van_hove = np.arange(-d, d + 1, 2.0)
+    grid = np.concatenate([
+        np.linspace(-d - 3.0, d + 3.0, 8 * d + 9), [-10.0 * d, 10.0 * d],
+        (van_hove[:, None] + np.array([0.0, 1e-9, -1e-9])).ravel(),
+        np.nextafter(van_hove, math.inf), np.nextafter(van_hove, -math.inf),
+    ])
+    js = staircase_js(d, grid).tolist()
+    assert set(js) == set(range(-1, d + 1))
+    for q, j in zip(term_exponents(d, grid), js):
+        assert q[list(term_table(d, j).order)].max() <= 0.0
 
 
 def test_cubic_band_centre_reduction():
@@ -158,10 +174,6 @@ def test_domain_errors():
         build_integrand(0, 1.0)
 
 
-def test_log_space_threshold_constant():
-    assert LOG_SPACE_POWER == 30
-
-
 def _per_piece_reference(specs, table):
     """The frequencies of one piece as a block, term by term from their
     ``TermSpec``s: the piece-at-a-time evaluator that ``eval_terms``
@@ -174,16 +186,10 @@ def _per_piece_reference(specs, table):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         qtau = exponents.T[:, :, None] * tau
         for t, q in zip(spec.terms, qtau):
-            pk, pi_ = d - t.m, t.m
-            log_space = max(pk, pi_) >= LOG_SPACE_POWER
             f = factors.get(t.m)
             if f is None:
-                if log_space:
-                    f = pk * table.log_kbar + pi_ * table.log_ibar
-                else:
-                    f = table.kbar**pk * table.ibar**pi_
-                factors[t.m] = f
-            mag = np.exp(f + q) if log_space else f * np.exp(q)
+                f = factors[t.m] = table.kbar**(d - t.m) * table.ibar**t.m
+            mag = f * np.exp(q)
             w = t.sign * t.coeff.magnitude
             phase = t.coeff.phase
             if phase == 0:
@@ -201,8 +207,8 @@ def _per_piece_reference(specs, table):
 def test_mixed_block_is_bitwise_per_piece(d):
     # one block of rows from five pieces (outside the band on both sides
     # among them), against each piece evaluated on its own; at d = 40 the
-    # block mixes direct and log-space terms, and the 49 nodes of the
-    # first step are those every column starts with
+    # powers reach kbar^40, and the 49 nodes of the first step are those
+    # every column starts with
     omegas = np.sort(np.concatenate([
         [-d - 0.7, -d + 0.3, -d + 1.2, d - 0.5, d + 1.5],
         np.linspace(-d + 2.1, d - 2.1, 7),
@@ -235,8 +241,8 @@ def test_term_table_matches_coefficients():
             assert table.order == tuple(k for t, k in zip(spec.terms, slots)
                                         if t.coeff.magnitude != 0)
             for t, k in zip(spec.terms, slots):
-                m, weight, imag, log_space = table.slots[k]
+                m, weight, imag = table.slots[k]
                 want = t.sign * t.coeff.complex_value
                 assert (complex(0.0, weight) if imag else weight) == want
-                assert m == t.m and log_space == (max(d - m, m) >= LOG_SPACE_POWER)
+                assert m == t.m
             assert all(table.weight[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))

@@ -355,3 +355,31 @@ def test_non_finite_first_level_reports_the_first_step(monkeypatch):
     assert not res.converged and res.abs_error_estimate == math.inf
     assert (res.evaluations, ref.evaluations) == (49, 13)
     assert repr(res) == repr(dataclasses.replace(ref, evaluations=49))
+
+
+def test_a_non_finite_head_stops_its_tail_at_once(monkeypatch):
+    # the integral is NaN once its head is, so its tail, which on its own
+    # refines past level 2, stops with the head in the first step
+    calls = []
+
+    def integrand(head):
+        def f(level, tail, cols):
+            calls.append((level, tail))
+            tau = quadrature.half_line_nodes(level, tail)
+            row = np.exp(-tau) * np.cos(3.0 * tau) if tail else head(tau)
+            return np.tile(row, (len(cols), 1))
+        return f
+
+    parts = []
+    combine = quadrature._combine
+    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
+    cfg = QuadratureConfig()
+    finite_head = quadrature.integrate_half_line(integrand(np.exp), 1, cfg)[0]
+    assert finite_head.converged and max(level for level, tail in calls if tail) > 2
+    calls.clear()
+    res = quadrature.integrate_half_line(integrand(lambda t: np.full(t.shape, math.nan)), 1, cfg)[0]
+    assert calls == [(0, False), (0, True)]
+    assert not res.converged and res.abs_error_estimate == math.inf and res.evaluations == 98
+    for part in parts[-1]:
+        assert not part.converged and part.abs_error_estimate == math.inf
+        assert part.evaluations == 49

@@ -21,11 +21,16 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_dump_records_writes_the_first_inputs(tmp_path, capsys):
+def _dump_records():
     spec = importlib.util.spec_from_file_location(
         "dump_records", os.path.join(ROOT, "tools", "dump_records.py"))
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
+    return dump
+
+
+def test_dump_records_writes_the_first_inputs(tmp_path, capsys):
+    dump = _dump_records()
     out = tmp_path / "records.txt"
     assert dump.main([str(out), "--limit", "4"]) == 0
     lines = out.read_text().splitlines()
@@ -34,3 +39,38 @@ def test_dump_records_writes_the_first_inputs(tmp_path, capsys):
     assert all(len(omegas) == 1 for _, omegas, _ in first)
     assert lines == [repr(green_local(d, omegas[0], cfg)) for d, omegas, cfg in first]
     assert "4 records written" in capsys.readouterr().err
+
+
+def test_dump_records_compare_reports_by_d(tmp_path, capsys):
+    dump = _dump_records()
+    old = tmp_path / "old.txt"
+    assert dump.main([str(old), "--limit", "3"]) == 0
+    lines = old.read_text().splitlines()
+    records = [dump.parse_record(line) for line in lines]
+    assert [r["d"] for r in records] == [8, 12, 20]
+    assert records[0]["value"] == green_local(8, records[0]["omega"]).value
+    capsys.readouterr()
+
+    def compare(new_lines):
+        new = tmp_path / "new.txt"
+        new.write_text("".join(line + "\n" for line in new_lines))
+        code = dump.main(["--compare", str(old), str(new)])
+        return code, capsys.readouterr().out.splitlines()
+
+    code, out = compare(lines)
+    assert code == 0 and len(out) == 3
+    assert all(" 0 of 1 records differ" in line for line in out)
+    # a changed value and evaluation count are reported, not failed
+    value = repr(records[2]["value"])
+    changed = lines[2].replace(value, repr(records[2]["value"] * (1 + 1e-15)))
+    changed = changed.replace("evaluations=", "evaluations=1")
+    code, out = compare([*lines[:2], changed])
+    assert code == 0
+    assert out[2].startswith("d=20: 1 of 1 records differ (value 1, evaluations 1)")
+    # a changed flag or piece fails the comparison
+    converged = records[0]["converged"]
+    for name, old_text, new_text in (
+            ("converged", f"converged={converged}", f"converged={not converged}"),
+            ("piece_j", "piece_j=", "piece_j=1")):
+        code, out = compare([lines[0].replace(old_text, new_text), *lines[1:]])
+        assert code == 1 and f"({name} 1)" in out[0]

@@ -1,6 +1,7 @@
 """Write one ``repr(GreenResult)`` per line for a fixed set of inputs.
 
     PYTHONPATH=src python3 tools/dump_records.py OUT [--limit N]
+    python3 tools/dump_records.py --compare OLD NEW
 
 The records are those of the checkout whose ``src`` is on PYTHONPATH, so
 two dumps, one per checkout, show by ``diff OUT_A OUT_B`` whether a change
@@ -16,14 +17,23 @@ bit.  The inputs, in this order:
 * 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80 and 120.
 
 ``--limit N`` stops after the first N records.
+
+``--compare OLD NEW`` reads two dumps of the same inputs and prints, for
+each d, how many records differ, which fields differ, and the largest
+relative value change among the records converged in both.  It exits 1
+if any flag (``converged``, ``divergent``, ``van_hove_adjacent``) or
+``piece_j`` differs, and 2 if the dumps are not of the same inputs.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import math
 import os
+import re
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -33,6 +43,11 @@ POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _POINT_SETS = ("points/", "large/")
 _CLI_SWEEPS = ("cli/sweep_d3", "cli/sweep_d20")
 _SWEEP_DIMS = (4, 7, 20, 30, 40, 58, 80, 120)
+
+# name=value, where a value is a parenthesised complex or runs to the next
+# comma or closing parenthesis
+_FIELD = re.compile(r"(\w+)=(\([^)]*\)|[^,)]*)")
+_FLAGS = ("piece_j", "converged", "divergent", "van_hove_adjacent")
 
 
 def inputs():
@@ -67,12 +82,71 @@ def records():
             yield from map(repr, green_sweep(d, omegas, cfg))
 
 
+def parse_record(line: str) -> dict:
+    """The fields of one ``repr(GreenResult)`` line, by name, as Python
+    values (the line is parsed, not evaluated)."""
+    fields = {}
+    for name, text in _FIELD.findall(line):
+        if text in ("True", "False"):
+            fields[name] = text == "True"
+        elif name in ("d", "piece_j", "evaluations"):
+            fields[name] = int(text)
+        elif name == "value":
+            fields[name] = complex(text)
+        else:
+            fields[name] = float(text)
+    return fields
+
+
+def _relative_change(old: complex, new: complex) -> float:
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old != 0 else math.inf
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the differences between two dumps by d; see the module doc."""
+    with open(old_path, encoding="utf-8") as fh:
+        old = [parse_record(line) for line in fh]
+    with open(new_path, encoding="utf-8") as fh:
+        new = [parse_record(line) for line in fh]
+    if len(old) != len(new) or any((a["d"], a["omega"]) != (b["d"], b["omega"])
+                                   for a, b in zip(old, new)):
+        print("error: the dumps are not of the same inputs", file=sys.stderr)
+        return 2
+    by_d = {}
+    for a, b in zip(old, new):
+        by_d.setdefault(a["d"], []).append((a, b))
+    flags_differ = False
+    for d, pairs in sorted(by_d.items()):
+        fields, differ, worst = Counter(), 0, 0.0
+        for a, b in pairs:
+            # repr equality: a NaN field that stays NaN is no difference
+            changed = [name for name in a if repr(a[name]) != repr(b[name])]
+            differ += bool(changed)
+            fields.update(changed)
+            if a["converged"] and b["converged"]:
+                worst = max(worst, _relative_change(a["value"], b["value"]))
+        flags_differ |= any(name in fields for name in _FLAGS)
+        listed = ", ".join(f"{name} {fields[name]}" for name in pairs[0][0] if name in fields)
+        print(f"d={d}: {differ} of {len(pairs)} records differ"
+              + (f" ({listed})" if listed else "")
+              + f"; largest relative value change (converged in both) {worst:.3g}")
+    return 1 if flags_differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", help="file to write, one record per line")
+    parser.add_argument("out", nargs="?", help="file to write, one record per line")
     parser.add_argument("--limit", type=int, default=None,
                         help="stop after the first N records")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of writing one")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give OUT or --compare OLD NEW")
     lines = list(itertools.islice(records(), args.limit))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
