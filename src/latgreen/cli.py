@@ -2,9 +2,11 @@
 moments, and a self-test battery.
 
 Records are emitted as CSV (default) or JSON with 17 significant digits so
-doubles survive a round trip.  Exit codes: 0 success, 1 malformed flags,
-input outside the domain or I/O error (one ``error:`` line on stderr, no
-traceback), 2 divergent/non-converged evaluation, 3 failed self-test.
+doubles survive a round trip; JSON writes a non-finite float as the string
+CSV prints (``inf``, ``-inf``, ``nan``).  Exit codes: 0 success, 1
+malformed flags, input outside the domain or I/O error (one ``error:`` line
+on stderr, no traceback), 2 divergent/non-converged evaluation, 3 failed
+self-test.
 """
 from __future__ import annotations
 
@@ -60,7 +62,10 @@ def _emit(records: list[dict], fmt: str, out_path: str | None,
           fields: list[str] | None = None) -> None:
     fields = fields or _CSV_FIELDS
     if fmt == "json":
-        text = json.dumps(records, indent=2) + "\n"
+        # JSON has no inf or nan: such a float becomes the string CSV prints
+        records = [{key: _fmt(val) if isinstance(val, float) and not math.isfinite(val) else val
+                    for key, val in rec.items()} for rec in records]
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bessel import BesselPair
 from .coefficients import check_dimension, staircase_js
-from .integrand import bessel_table, eval_terms, term_exponents, term_table
+from .integrand import bessel_table, eval_terms, term_exponents, term_weights
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
 # Not used here since sweeps are batched, but perfbench's tracer (spans.py)
@@ -125,16 +125,11 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
         order = order[~divergent[order]]
     if order.size:
         rows_j, rows_q = js[order], exponents[order]
-        weights = None
-        if rows_j[0] != rows_j[-1]:
-            # (not np.unique, which imports numpy.ma)
-            pieces = sorted(set(rows_j.tolist()))
-            by_piece = np.array([term_table(d, j).weight for j in pieces])
-            weights = by_piece[np.searchsorted(pieces, rows_j)]
+        weights = np.array([term_weights(d, j) for j in rows_j.tolist()])
 
         def f(level, tail, cols):
             return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level, tail),
-                              None if weights is None else weights[cols])
+                              weights[cols])
 
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
             results[i] = _result(d, float(omegas[i]), int(js[i]), res)

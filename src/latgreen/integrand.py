@@ -20,9 +20,10 @@ term left, ibar^d e^{q tau}, stays finite at any d.
 
 Only q depends on omega, and a term's phase depends only on (d, m) and its
 family, never on the piece j.  The Bessel pair is a ``BesselPair`` of
-arrays built once per set of nodes; ``term_table`` holds the float weights of
-piece j; ``eval_terms`` evaluates any frequencies, of one piece or of many,
-on such a table as one term-major (frequencies x nodes) block.
+arrays built once per set of nodes; ``term_weights`` is the float weight
+vector of piece j over the slots of ``term_exponents``; ``eval_terms``
+evaluates any frequencies, of one piece or of many, as one term-major
+(frequencies x nodes) block, and picks the terms of every block by one rule.
 
 Inside the band (0 <= j <= d-1) all d+1 terms of a piece have a nonzero
 coefficient.  Outside it (j = -1 or j = d) all but the m = d one are
@@ -30,9 +31,15 @@ exactly zero, and the integrand is the single term +-(1/2^d) ibar^d
 e^{(d-|omega|)tau} = +-I0(tau)^d e^{-|omega| tau}.  ``eval_terms`` forms only
 the terms with a nonzero coefficient, so such a frequency costs one term
 at any d.
+
+The factor 1/2^d scales the sum, not the weights, on purpose: folded into
+the weights it would move the first non-finite band value from d ~ 106 to
+d ~ 118 (flagged either way), but flip signed zeros and subnormal bits
+that the per-piece bitwise reference sees.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -46,13 +53,12 @@ from .coefficients import PhasedInteger, coefficient_table, staircase_j
 __all__ = [
     "TermSpec",
     "IntegrandSpec",
-    "TermTable",
     "TailKind",
     "TailClass",
     "bessel_table",
     "build_integrand",
     "term_exponents",
-    "term_table",
+    "term_weights",
     "eval_integrand",
     "eval_terms",
     "tail_class",
@@ -91,33 +97,6 @@ class IntegrandSpec:
     terms: tuple[TermSpec, ...]
 
 
-@dataclass(frozen=True)
-class TermTable:
-    """The terms of piece j of dimension d, by slot, for ``eval_terms``.
-
-    The 2(d+1) slots are the C terms m = d, d-1, ..., 0 (exponent
-    2m - d - omega) followed by the D terms m = 0, 1, ..., d (exponent
-    2m - d + omega), so the d+1 terms of any piece j fill the contiguous
-    slots d-j .. 2d-j.  ``order`` lists those with a nonzero weight as the
-    formula adds them, C m = 0..j, then D m = 0..d-j-1: all d+1 inside the
-    band, and only the m = d term outside it, slot 2d+1 for j = -1 and
-    slot 0 for j = d.  ``slots[k]`` is (m, weight, imag): the weight is
-    the term's sign times its coefficient magnitude as a float, negated for
-    the phases 2 and 3, and 0.0 in a slot that piece j lacks or whose
-    coefficient is zero; ``imag`` says whether the term adds to the
-    imaginary part.  A slot's m and imag depend only on d.
-    """
-
-    d: int
-    j: int
-    slots: tuple[tuple[int, float, bool], ...]
-    order: tuple[int, ...]
-
-    @property
-    def weight(self) -> tuple[float, ...]:
-        return tuple(slot[1] for slot in self.slots)
-
-
 class TailKind(Enum):
     EXPONENTIAL = "exponential"
     POWER_LAW = "power_law"
@@ -132,8 +111,12 @@ class TailClass:
 
 
 def term_exponents(d: int, omegas) -> np.ndarray:
-    """The net exponent of every slot (see ``TermTable``) for each frequency.
+    """The net exponent of every slot for each frequency.
 
+    The 2(d+1) slots are the C terms m = d, d-1, ..., 0 (exponent
+    2m - d - omega) followed by the D terms m = 0, 1, ..., d (exponent
+    2m - d + omega): slot k holds m = d-k for k <= d and m = k-d-1 after,
+    and the d+1 terms of piece j fill the contiguous slots d-j .. 2d-j.
     Returns a (frequencies x 2(d+1)) array; an exponent within
     ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.
     """
@@ -158,20 +141,23 @@ def build_integrand(d: int, omega: float) -> IntegrandSpec:
 
 
 @functools.lru_cache(maxsize=1024)
-def term_table(d: int, j: int) -> TermTable:
-    """The float term table of piece j of dimension d, cached by (d, j)."""
+def term_weights(d: int, j: int) -> np.ndarray:
+    """The float weight of every slot (see ``term_exponents``) of piece j
+    of dimension d, cached by (d, j) and read-only.
+
+    A weight is the term's sign times its coefficient magnitude, negated
+    for the phases 2 and 3, and 0.0 in a slot that piece j lacks or whose
+    coefficient is zero.  The term of slot k adds to the imaginary part
+    when d+m is odd: both families carry the phase -(d+m) or d+m mod 4.
+    """
     table = coefficient_table(d, j)
-    weight = [0.0] * (2 * d + 2)
+    weights = np.zeros(2 * d + 2)
     for m, coeff in enumerate(table.c):
-        weight[d - m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
+        weights[d - m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
     for m, coeff in enumerate(table.dcoef):
-        weight[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
-    ms = (*range(d, -1, -1), *range(d + 1))
-    # both families carry the phase -(d+m) or d+m mod 4: odd means imaginary
-    slots = tuple((m, w, (d + m) % 2 == 1) for m, w in zip(ms, weight))
-    order = tuple(k for k in (*range(d, d - j - 1, -1), *range(d + 1, 2 * d - j + 1))
-                  if weight[k] != 0.0)
-    return TermTable(d=d, j=j, slots=slots, order=order)
+        weights[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
+    weights.flags.writeable = False
+    return weights
 
 
 def bessel_table(tau) -> BesselPair:
@@ -180,52 +166,57 @@ def bessel_table(tau) -> BesselPair:
     return BesselPair(kbar=(2.0 / math.pi) * k0e(tau), ibar=2.0 * i0e(tau), tau=tau)
 
 
+def _block_slots(d: int, js) -> tuple[list[int], int, int]:
+    """The slots of the terms a block of the pieces ``js`` (a nondecreasing
+    int array) forms, in the order they are added, and the first rows with
+    j >= 0 and with j = d.
+
+    The terms run C m = 0..d, then D m = 0..d, and each reaches the rows
+    whose piece has it with a nonzero coefficient: C m < d those with
+    m <= j <= d-1, C m = d j = d, D m < d 0 <= j <= d-1-m and D m = d j = -1.
+    For one piece the slots are exactly its terms with a nonzero
+    coefficient, in the formula's order; for several, their union.
+    """
+    js = js.tolist()
+    n, bottom, top = len(js), bisect.bisect_left(js, 0), bisect.bisect_left(js, d)
+    j_lo, j_hi = (js[bottom], js[top - 1]) if bottom < top else (d, -1)
+    ks = [*range(d, d - j_hi - 1, -1), *([0] if top < n else []),
+          *range(d + 1, 2 * d + 1 - j_lo), *([2 * d + 1] if bottom else [])]
+    return ks, bottom, top
+
+
 def eval_terms(d: int, js, exponents: np.ndarray, table: BesselPair,
-               weights: np.ndarray | None = None) -> np.ndarray:
+               weights: np.ndarray) -> np.ndarray:
     """Evaluate the integrand of several frequencies on one Bessel table.
 
-    Row r is a frequency of piece ``js[r]`` (nondecreasing in r) with the
-    slot exponents ``exponents[r]`` (see ``term_exponents``).  Rows of a
-    single piece take their weights from ``term_table``; rows of several
-    pieces need ``weights``, whose row r is ``term_table(d, js[r]).weight``.
-    Returns the complex (rows x nodes) block ``(1/2^d) * sum_terms sign *
-    coeff * kbar^{d-m} ibar^m e^{exponent*tau}``.
+    Row r is a frequency of piece ``js[r]`` (an int array, nondecreasing)
+    with the slot exponents ``exponents[r]`` (see ``term_exponents``) and
+    weights ``weights[r]`` (``term_weights(d, js[r])``).  Returns the
+    complex (rows x nodes) block ``(1/2^d) * sum_terms sign * coeff *
+    kbar^{d-m} ibar^m e^{exponent*tau}``, with 1/2^d applied last (see the
+    module docstring).
 
-    The terms run in the order C m = 0..d, then D m = 0..d, and each is
-    added to the rows whose piece has it with a nonzero coefficient: C m < d
-    to m <= j <= d-1, C m = d to j = d, D m < d to 0 <= j <= d-1-m and D m = d
-    to j = -1.  Every row thus receives the terms of its piece with the
-    arithmetic and in the order of a single frequency, so it does not
-    depend on the rows it is batched with, and a term no row has is never
-    formed.  A block of one piece forms the exponent*tau products of at
-    most d+1 terms, as many as the piece has, and of at most
-    ``_QTAU_ELEMENTS`` elements (or of one term) at once; a mixed block
-    forms them one term at a time, on the rows that use it only.
-    Underflowed terms contribute exactly 0; an overflow shows as a
+    One rule, ``_block_slots``, picks the terms of a block of one piece or
+    of many, and each row receives those of its piece with the arithmetic
+    and in the order of a single frequency: it does not depend on the rows
+    it is batched with, and a term no row has is never formed.  A block of
+    one piece forms the exponent*tau products of at most ``_QTAU_ELEMENTS``
+    elements (or of one term) at once and scales them by scalar weights; a
+    mixed block forms them one term at a time, on the rows that use it
+    only.  Underflowed terms contribute exactly 0; an overflow shows as a
     non-finite value, which the quadrature flags.
     """
     tau = table.tau
-    n = exponents.shape[0]
-    j_first = int(js[0])
-    terms = term_table(d, j_first)
-    mixed = j_first != int(js[-1])
-    if not mixed:
-        ks = list(terms.order)
-    else:
+    ks, bottom, top = _block_slots(d, js)
+    mixed = js[0] != js[-1]
+    if mixed:
         # cut[k] is the first row with j >= t, where t runs d..0 over the C
-        # slots and again over the D slots.  The rows [0, bottom) have
-        # j = -1, [top, n) j = d, and the rows in between, inside the band,
-        # reach C m = 0..j_hi and D m = 0..d-1-j_lo.
+        # slots and again over the D slots
         cut = np.searchsorted(js, 2 * list(range(d, -1, -1))).tolist()
-        top, bottom = cut[0], cut[-1]
-        j_lo, j_hi = (int(js[bottom]), int(js[top - 1])) if bottom < top else (d, -1)
-        ks = [*range(d, d - j_hi - 1, -1), *([0] if top < n else []),
-              *range(d + 1, 2 * d + 1 - j_lo), *([2 * d + 1] if bottom else [])]
-    re = np.zeros((n, tau.size))
+    re = np.zeros((len(js), tau.size))
     im = np.zeros_like(re)
     # terms per group; a mixed block forms each term's products on its rows
     g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // re.size, d + 1))
-    slots = terms.slots
     # kbar^{d-m} ibar^m is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -233,20 +224,20 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselPair,
             group = ks[a:a + g]
             qtau = None if mixed else exponents.take(group, axis=1).T[:, :, None] * tau
             for i, k in enumerate(group):
-                m, w, imag = slots[k]
+                m = d - k if k <= d else k - d - 1
                 f = factors.get(m)
                 if f is None:
                     f = factors[m] = table.kbar**(d - m) * table.ibar**m
-                acc = im if imag else re
+                acc = im if (d + m) & 1 else re
                 if mixed:
                     # C m < d reaches [cut[k], top), C m = d [top, n),
                     # D m < d [bottom, cut[k]) and D m = d [0, bottom)
-                    rows = (slice(cut[k], top if k else n) if k <= d
+                    rows = (slice(cut[k], top if k else None) if k <= d
                             else slice(bottom if k <= 2 * d else 0, cut[k]))
                     w, acc = weights[rows, k, None], acc[rows]
                     q = exponents[rows, k, None] * tau
                 else:
-                    q = qtau[i]
+                    w, q = weights.item(0, k), qtau[i]
                 acc += w * (f * np.exp(q))
             qtau = q = None  # free the products before the next group's
         return (re + 1j * im) * 0.5**d
@@ -261,7 +252,8 @@ def eval_integrand(spec: IntegrandSpec, tau):
     """
     tau_arr = np.asarray(tau, dtype=float)
     exponents = term_exponents(spec.d, [spec.omega])
-    out = eval_terms(spec.d, [spec.j], exponents, bessel_table(tau_arr.ravel()))[0]
+    out = eval_terms(spec.d, np.array([spec.j]), exponents, bessel_table(tau_arr.ravel()),
+                     term_weights(spec.d, spec.j)[None])[0]
     return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,10 @@ class QuadratureConfig:
     max_levels: int = 12
 
     def __post_init__(self):
-        if not all(0.0 < t < math.inf for t in (self.rel_tol, self.abs_tol)):
-            raise ValueError("tolerances must be positive and finite")
+        for t in (self.rel_tol, self.abs_tol):
+            # a bool is a number to Python, but True is no tolerance
+            if not isinstance(t, numbers.Real) or isinstance(t, bool) or not 0.0 < t < math.inf:
+                raise ValueError(f"tolerances must be positive finite numbers, got {t!r}")
         if not isinstance(self.max_levels, int) or isinstance(self.max_levels, bool):
             raise ValueError(f"max_levels must be an integer, got {self.max_levels!r}")
         if not _FIRST_LEVELS <= self.max_levels <= _MAX_LEVELS:

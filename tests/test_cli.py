@@ -51,6 +51,23 @@ def test_eval_json_mirrors_fields(capsys):
     assert rec["im"] < 0.0
 
 
+def test_json_writes_non_finite_values_as_strings(capsys):
+    # RFC 8259 JSON has no Infinity or NaN, and strict parsers reject them
+    def strict(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out = run_cli(capsys, "eval", "--d", "1", "--omega", "1", "--format", "json")
+    assert code == 2
+    rec = json.loads(out, parse_constant=strict)[0]
+    assert (rec["re"], rec["im"], rec["abs_error"]) == ("inf", "-inf", "inf")
+    assert float(rec["re"]) == math.inf and "divergent" in rec["flags"]
+    code, out = run_cli(capsys, "dos", "--d", "2", "--omega", "2", "--format", "json")
+    assert code == 2
+    rec = json.loads(out, parse_constant=strict)[0]
+    assert rec["dos"] == "nan" and rec["abs_error"] == "inf"
+    assert isinstance(rec["omega"], float)
+
+
 def test_eval_divergent_exit_code_and_record(capsys):
     code, out = run_cli(capsys, "eval", "--d", "1", "--omega", "1")
     assert code == 2

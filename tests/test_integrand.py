@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from latgreen import integrand
 from latgreen.bessel import bessel_i0, bessel_k0
 from latgreen.coefficients import coefficient_table, staircase_js
 from latgreen.errors import DomainError
@@ -17,7 +18,7 @@ from latgreen.integrand import (
     eval_terms,
     tail_class,
     term_exponents,
-    term_table,
+    term_weights,
 )
 from latgreen.quadrature import half_line_nodes
 
@@ -93,7 +94,7 @@ def test_every_formed_term_has_a_nonpositive_exponent(d):
     js = staircase_js(d, grid).tolist()
     assert set(js) == set(range(-1, d + 1))
     for q, j in zip(term_exponents(d, grid), js):
-        assert q[list(term_table(d, j).order)].max() <= 0.0
+        assert q[integrand._block_slots(d, np.array([j]))[0]].max() <= 0.0
 
 
 def test_cubic_band_centre_reduction():
@@ -177,7 +178,9 @@ def test_domain_errors():
 def _per_piece_reference(specs, table):
     """The frequencies of one piece as a block, term by term from their
     ``TermSpec``s: the piece-at-a-time evaluator that ``eval_terms``
-    replaced, kept as the bitwise reference for it."""
+    replaced, kept as the bitwise reference for it.  A term with a zero
+    coefficient adds exactly 0 and is skipped: formed, it would turn an
+    overflowed power into 0 * inf = NaN (outside the band at d = 120)."""
     spec, d, tau = specs[0], specs[0].d, table.tau
     exponents = np.array([[t.exponent for t in s.terms] for s in specs])
     re = np.zeros((len(specs), tau.size))
@@ -186,6 +189,8 @@ def _per_piece_reference(specs, table):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         qtau = exponents.T[:, :, None] * tau
         for t, q in zip(spec.terms, qtau):
+            if t.coeff.magnitude == 0:
+                continue
             f = factors.get(t.m)
             if f is None:
                 f = factors[t.m] = table.kbar**(d - t.m) * table.ibar**t.m
@@ -203,11 +208,12 @@ def _per_piece_reference(specs, table):
         return (re + 1j * im) * 0.5**d
 
 
-@pytest.mark.parametrize("d", [4, 40])
+@pytest.mark.parametrize("d", [4, 40, 120])
 def test_mixed_block_is_bitwise_per_piece(d):
     # one block of rows from five pieces (outside the band on both sides
     # among them), against each piece evaluated on its own; at d = 40 the
-    # powers reach kbar^40, and the 49 nodes of the first step are those
+    # powers reach kbar^40, at d = 120 they leave the double range at the
+    # smallest head nodes, and the 49 nodes of the first step are those
     # every column starts with
     omegas = np.sort(np.concatenate([
         [-d - 0.7, -d + 0.3, -d + 1.2, d - 0.5, d + 1.5],
@@ -216,7 +222,7 @@ def test_mixed_block_is_bitwise_per_piece(d):
     specs = [build_integrand(d, w) for w in omegas]
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
-    weights = np.array([term_table(d, j).weight for j in js.tolist()])
+    weights = np.array([term_weights(d, j) for j in js.tolist()])
     for tau in (half_line_nodes(0, True), half_line_nodes(4, False),
                 half_line_nodes(4, True), half_line_nodes(8, True)):
         table = bessel_table(tau)
@@ -227,22 +233,59 @@ def test_mixed_block_is_bitwise_per_piece(d):
             assert got[rows].tobytes() == ref.tobytes()
 
 
-def test_term_table_matches_coefficients():
-    # weight times the slot's part reproduces sign * coefficient exactly
-    # (as floats), for every piece, both families and every phase, zero
-    # coefficients included; the order is the spec's term order without
-    # the terms whose coefficient is zero
+def _spec_slots(spec):
+    # the slot of each term of a spec, in the formula's order
+    d = spec.d
+    return [d - t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
+
+
+def _piece_spec(d, j):
+    spec = build_integrand(d, min(max(2 * j - d + 1.0, -d - 1.0), d + 1.0))
+    assert spec.j == j
+    return spec
+
+
+def test_term_weights_match_coefficients():
+    # the weight times the slot's part reproduces sign * coefficient
+    # exactly (as floats), for every piece, both families and every phase,
+    # zero coefficients included, and a slot the piece lacks weighs 0.0
     for d in (1, 2, 5, 40):
         for j in range(-1, d + 1):
-            table = term_table(d, j)
-            spec = build_integrand(d, min(max(2 * j - d + 1.0, -d - 1.0), d + 1.0))
-            assert spec.j == j
-            slots = [d - t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
-            assert table.order == tuple(k for t, k in zip(spec.terms, slots)
-                                        if t.coeff.magnitude != 0)
+            weights = term_weights(d, j)
+            assert weights.shape == (2 * d + 2,)
+            spec = _piece_spec(d, j)
+            slots = _spec_slots(spec)
             for t, k in zip(spec.terms, slots):
-                m, weight, imag = table.slots[k]
-                want = t.sign * t.coeff.complex_value
-                assert (complex(0.0, weight) if imag else weight) == want
+                m = d - k if k <= d else k - d - 1
                 assert m == t.m
-            assert all(table.weight[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))
+                imag = (d + m) % 2 == 1
+                want = t.sign * t.coeff.complex_value
+                assert (complex(0.0, weights[k]) if imag else weights[k]) == want
+            assert all(weights[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))
+
+
+def test_block_slots_are_the_nonzero_terms():
+    # one piece: exactly the slots of its nonzero coefficients, in the
+    # formula's order; several pieces: the union of theirs, in the order
+    # C m = 0..d (slots d..0), then D m = 0..d (slots d+1..2d+1)
+    for d in (1, 2, 5, 40):
+        nonzero = {}
+        for j in range(-1, d + 1):
+            spec = _piece_spec(d, j)
+            want = [k for t, k in zip(spec.terms, _spec_slots(spec)) if t.coeff.magnitude != 0]
+            assert integrand._block_slots(d, np.array([j]))[0] == want
+            assert set(want) == set(np.flatnonzero(term_weights(d, j)).tolist())
+            nonzero[j] = set(want)
+        for block in ([-1, 0], [d - 1, d], [-1, d], list(range(-1, d + 1)),
+                      [0, 0, d // 2, d // 2, d - 1] if d > 1 else [0, 0]):
+            ks = integrand._block_slots(d, np.array(block))[0]
+            assert ks == sorted(set(ks), key=lambda k: (k > d, -k if k <= d else k))
+            assert set(ks) == set().union(*(nonzero[j] for j in block))
+
+
+def test_term_weights_are_cached_and_read_only():
+    weights = term_weights(5, 2)
+    assert term_weights(5, 2) is weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0

@@ -146,11 +146,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
-    {"max_levels": 5.0}, {"max_levels": True},
+    {"max_levels": 5.0}, {"max_levels": True}, {"rel_tol": True}, {"abs_tol": "1e-15"},
 ])
 def test_config_rejects_at_construction(kwargs):
-    # a non-finite tolerance would accept any error; a float level count
-    # would fail later inside the level loop
+    # a non-finite tolerance would accept any error, and True would be a
+    # tolerance of 1.0; a float level count would fail later inside the
+    # level loop
     with pytest.raises(ValueError):
         QuadratureConfig(**kwargs)
 

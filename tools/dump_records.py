@@ -14,7 +14,12 @@ bit.  The inputs, in this order:
   at d = 20), on the grid ``latgreen sweep`` builds from their ends;
 * the sweeps of acceptance criterion 11: 401 points over [-d-1, d+1] at
   d = 1..7 with rel_tol 1e-10;
-* 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80 and 120.
+* 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80, 110
+  and 120; at d = 110 the weighted terms of the band overflow at the
+  smallest head nodes while kbar^d alone does not yet (it does from
+  d ~ 117), so the dump also sees the arithmetic of d = 106..117.
+
+4,201 records in all.
 
 ``--limit N`` stops after the first N records.
 
@@ -42,7 +47,7 @@ POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 _POINT_SETS = ("points/", "large/")
 _CLI_SWEEPS = ("cli/sweep_d3", "cli/sweep_d20")
-_SWEEP_DIMS = (4, 7, 20, 30, 40, 58, 80, 120)
+_SWEEP_DIMS = (4, 7, 20, 30, 40, 58, 80, 110, 120)
 
 # name=value, where a value is a parenthesised complex or runs to the next
 # comma or closing parenthesis
