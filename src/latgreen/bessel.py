@@ -165,22 +165,26 @@ def _k0_series(tau):
     )
 
 
+def _scaled(tau, cut, series, cheb):
+    """``series(tau)`` up to ``cut``, above it the Chebyshev table ``cheb``
+    in t = 2*(cut/tau) - 1, divided by sqrt(tau)."""
+    tau = np.asarray(tau, dtype=float)
+    small = tau <= cut
+    out = np.empty_like(tau)
+    if small.any():
+        out[small] = series(tau[small])
+    if (~small).any():
+        tl = tau[~small]
+        out[~small] = _clenshaw(cheb, 2.0 * (cut / tl) - 1.0) / np.sqrt(tl)
+    return out if out.ndim else float(out)
+
+
 def k0e(tau):
     """Exponentially scaled K0: ``exp(tau) * K0(tau)``.
 
     Accepts a positive scalar or ndarray; no input validation.
     """
-    tau = np.asarray(tau, dtype=float)
-    small = tau <= _K0_SERIES_MAX
-    out = np.empty_like(tau)
-    if small.any():
-        ts = tau[small]
-        out[small] = np.exp(ts) * _k0_series(ts)
-    if (~small).any():
-        tl = tau[~small]
-        t = 2.0 * (_K0_SERIES_MAX / tl) - 1.0
-        out[~small] = _clenshaw(_K0E_CHEB, t) / np.sqrt(tl)
-    return out if out.ndim else float(out)
+    return _scaled(tau, _K0_SERIES_MAX, lambda ts: np.exp(ts) * _k0_series(ts), _K0E_CHEB)
 
 
 def i0e(tau):
@@ -188,17 +192,7 @@ def i0e(tau):
 
     Accepts a non-negative scalar or ndarray; no input validation.
     """
-    tau = np.asarray(tau, dtype=float)
-    small = tau <= _I0_SERIES_MAX
-    out = np.empty_like(tau)
-    if small.any():
-        ts = tau[small]
-        out[small] = np.exp(-ts) * _i0_series(ts)
-    if (~small).any():
-        tl = tau[~small]
-        t = 2.0 * (_I0_SERIES_MAX / tl) - 1.0
-        out[~small] = _clenshaw(_I0E_CHEB, t) / np.sqrt(tl)
-    return out if out.ndim else float(out)
+    return _scaled(tau, _I0_SERIES_MAX, lambda ts: np.exp(-ts) * _i0_series(ts), _I0E_CHEB)
 
 
 def _validate_tau(tau, *, allow_zero=False):

@@ -24,8 +24,6 @@ from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
 
-_CSV_FIELDS = ["d", "omega", "re", "im", "abs_error", "piece_j", "flags"]
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -54,13 +52,33 @@ def _record(res: GreenResult) -> dict:
     }
 
 
+def _dos_record(res: GreenResult) -> dict:
+    return {
+        "d": res.d,
+        "omega": res.omega,
+        "dos": dos_from_result(res),
+        "abs_error": res.abs_error / math.pi,
+        "piece_j": res.piece_j,
+        "flags": _flags(res),
+    }
+
+
 def _exit_code(results: list[GreenResult]) -> int:
-    return 2 if any(r.divergent or not r.converged for r in results) else 0
+    # a divergent result is never converged
+    return 0 if all(r.converged for r in results) else 2
 
 
-def _emit(records: list[dict], fmt: str, out_path: str | None,
-          fields: list[str] | None = None) -> None:
-    fields = fields or _CSV_FIELDS
+def _cell(val) -> str:
+    if isinstance(val, float):
+        return _fmt(val)
+    if isinstance(val, list):
+        return ";".join(val)
+    return str(val)
+
+
+def _emit(records: list[dict], fmt: str, out_path: str | None = None) -> None:
+    """Write records as CSV, whose header is the keys of the first record,
+    or as JSON, to ``out_path`` or stdout."""
     if fmt == "json":
         # JSON has no inf or nan: such a float becomes the string CSV prints
         records = [{key: _fmt(val) if isinstance(val, float) and not math.isfinite(val) else val
@@ -69,18 +87,8 @@ def _emit(records: list[dict], fmt: str, out_path: str | None,
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for rec in records:
-            row = []
-            for key in fields:
-                val = rec[key]
-                if isinstance(val, float):
-                    row.append(_fmt(val))
-                elif isinstance(val, list):
-                    row.append(";".join(val))
-                else:
-                    row.append(str(val))
-            writer.writerow(row)
+        writer.writerow(records[0].keys())
+        writer.writerows([_cell(val) for val in rec.values()] for rec in records)
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -93,38 +101,19 @@ def _cfg(args) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=args.rel_tol)
 
 
-def cmd_eval(args) -> int:
+def cmd_point(args) -> int:
+    """``eval`` and ``dos``: one frequency, one record from ``args.record``."""
     res = green_local(args.d, args.omega, _cfg(args))
-    _emit([_record(res)], args.format, None)
-    return _exit_code([res])
-
-
-def cmd_dos(args) -> int:
-    res = green_local(args.d, args.omega, _cfg(args))
-    rec = {
-        "d": res.d,
-        "omega": res.omega,
-        "dos": dos_from_result(res),
-        "abs_error": res.abs_error / math.pi,
-        "piece_j": res.piece_j,
-        "flags": _flags(res),
-    }
-    _emit([rec], args.format, None,
-          fields=["d", "omega", "dos", "abs_error", "piece_j", "flags"])
+    _emit([args.record(res)], args.format)
     return _exit_code([res])
 
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return 1
+        raise ValueError("--steps must be >= 2")
     grid = np.linspace(args.omega_min, args.omega_max, args.steps)
     results = green_sweep(args.d, grid, _cfg(args))
-    try:
-        _emit([_record(r) for r in results], args.format, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _emit([_record(r) for r in results], args.format, args.out)
     return _exit_code(results)
 
 
@@ -142,8 +131,7 @@ def cmd_moments(args) -> int:
         }
         for k, m in enumerate(table.moments)
     ]
-    _emit(records, args.format, None,
-          fields=["d", "k", "numerator", "denominator", "decimal"])
+    _emit(records, args.format)
     return 0
 
 
@@ -242,15 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rel-tol", type=float, default=1e-13)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("eval", help="evaluate G_d at one frequency")
-    add_common(p)
-    p.add_argument("--omega", type=float, required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("dos", help="evaluate the density of states at one frequency")
-    add_common(p)
-    p.add_argument("--omega", type=float, required=True)
-    p.set_defaults(func=cmd_dos)
+    for name, record, text in (
+        ("eval", _record, "evaluate G_d at one frequency"),
+        ("dos", _dos_record, "evaluate the density of states at one frequency"),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--omega", type=float, required=True)
+        p.set_defaults(func=cmd_point, record=record)
 
     p = sub.add_parser("sweep", help="evaluate G_d on a uniform frequency grid")
     add_common(p)
@@ -281,7 +268,9 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except ValueError as exc:  # DomainError included: d < 1, non-finite omega, bad tolerance
+    # ValueError (DomainError included): d < 1, non-finite omega, bad
+    # tolerance or --steps; OSError: an --out file that cannot be written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

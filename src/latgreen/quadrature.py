@@ -89,7 +89,7 @@ class QuadratureConfig:
             # a bool is a number to Python, but True is no tolerance
             if not isinstance(t, numbers.Real) or isinstance(t, bool) or not 0.0 < t < math.inf:
                 raise ValueError(f"tolerances must be positive finite numbers, got {t!r}")
-        if not isinstance(self.max_levels, int) or isinstance(self.max_levels, bool):
+        if not isinstance(self.max_levels, numbers.Integral) or isinstance(self.max_levels, bool):
             raise ValueError(f"max_levels must be an integer, got {self.max_levels!r}")
         if not _FIRST_LEVELS <= self.max_levels <= _MAX_LEVELS:
             raise ValueError(f"max_levels must be in [{_FIRST_LEVELS}, {_MAX_LEVELS}], "

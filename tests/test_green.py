@@ -81,12 +81,14 @@ def test_chain_edge_divergence():
 
 
 def test_square_divergences():
+    # a divergent result is never converged: the CLI's exit code reads
+    # ``converged`` alone
     centre = green_local(2, 0.0)
-    assert centre.divergent
+    assert centre.divergent and not centre.converged
     assert centre.value.real == 0.0 and centre.value.imag == -math.inf
     for w in (2.0, -2.0):
         edge = green_local(2, w)
-        assert edge.divergent
+        assert edge.divergent and not edge.converged
         assert edge.value.imag == 0.0
         assert edge.value.real == math.copysign(math.inf, w)
 

@@ -147,6 +147,7 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
     {"max_levels": 5.0}, {"max_levels": True}, {"rel_tol": True}, {"abs_tol": "1e-15"},
+    {"max_levels": np.int64(17)},
 ])
 def test_config_rejects_at_construction(kwargs):
     # a non-finite tolerance would accept any error, and True would be a
@@ -154,6 +155,17 @@ def test_config_rejects_at_construction(kwargs):
     # level loop
     with pytest.raises(ValueError):
         QuadratureConfig(**kwargs)
+
+
+@pytest.mark.parametrize("levels", [3, 10])
+def test_config_takes_a_numpy_level_count(levels):
+    # a numpy integer is a level count, as a numpy float is a tolerance; at
+    # 3 levels every column of the grid stops at the limit
+    grid = np.linspace(-4.0, 4.0, 33)
+    cfg = QuadratureConfig(max_levels=np.int64(levels))
+    assert cfg == QuadratureConfig(max_levels=levels)
+    assert ([repr(r) for r in green_sweep(3, grid, cfg)]
+            == [repr(r) for r in green_sweep(3, grid, QuadratureConfig(max_levels=levels))])
 
 
 def test_head_and_tail_stop_independently(monkeypatch):
