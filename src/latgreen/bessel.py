@@ -16,6 +16,7 @@ and is the form the integrand assembly consumes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,7 @@ def i0e(tau):
 
 
 def _validate_tau(tau, *, allow_zero=False):
-    if not isinstance(tau, (int, float)) or isinstance(tau, bool):
+    if not isinstance(tau, numbers.Real) or isinstance(tau, bool):
         raise DomainError(f"tau must be a real number, got {tau!r}")
     tau = float(tau)
     if math.isnan(tau) or math.isinf(tau):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,12 @@ class CoefficientTable:
     dcoef: tuple[PhasedInteger, ...]
 
 
-def check_dimension(d: int) -> None:
-    """Raise DomainError unless d is a positive integer (bool excluded)."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+def check_dimension(d) -> int:
+    """d as a Python int; raise DomainError unless d is a positive integer
+    (any ``numbers.Integral``, numpy's included, but not a bool)."""
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
+    return int(d)
 
 
 def staircase_js(d: int, omegas) -> np.ndarray:
@@ -77,7 +80,7 @@ def staircase_js(d: int, omegas) -> np.ndarray:
     defining range; clamping puts all weight in the surviving sum, which is
     exact because the complementary sum is empty there.
     """
-    check_dimension(d)
+    d = check_dimension(d)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be one-dimensional, got shape {omegas.shape}")
@@ -102,13 +105,13 @@ def _alternating_sum(d: int, m: int, n_hi: int) -> int:
     return -magnitude if n_hi & 1 else magnitude
 
 
-# typed: True and numpy integers equal to a cached int must still reach the
-# validation below instead of hitting the cache; bounded like term_weights,
+# typed: True, and a numpy integer j, equal to a cached int must still reach
+# the validation below instead of hitting the cache; bounded like term_weights,
 # since every piece for d <= 120 is 7,500 exact tables
 @functools.lru_cache(maxsize=1024, typed=True)
 def coefficient_table(d: int, j: int) -> CoefficientTable:
     """Exact coefficient table for piece j of dimension d, cached by (d, j)."""
-    check_dimension(d)
+    d = check_dimension(d)
     if not isinstance(j, int) or isinstance(j, bool) or not -1 <= j <= d:
         raise DomainError(f"j must lie in [-1, {d}], got {j!r}")
     c = tuple(

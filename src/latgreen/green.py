@@ -109,7 +109,7 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     is integrated.
     """
     cfg = cfg or QuadratureConfig()
-    check_dimension(d)  # first, so that an empty grid is checked too
+    d = check_dimension(d)  # first, so that an empty grid is checked too
     omegas = np.fromiter(omegas, dtype=float)
     js = staircase_js(d, omegas)  # validates every frequency
     exponents = term_exponents(d, omegas)
@@ -124,12 +124,11 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
             results[i] = _divergent_result(d, float(omegas[i]), int(js[i]))
         order = order[~divergent[order]]
     if order.size:
-        rows_j, rows_q = js[order], exponents[order]
-        weights = np.array([term_weights(d, j) for j in rows_j.tolist()])
+        rows_q = exponents[order]
+        weights = np.array([term_weights(d, j) for j in js[order].tolist()])
 
         def f(level, tail, cols):
-            return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level, tail),
-                              weights[cols])
+            return eval_terms(d, rows_q[cols], _bessel_nodes(level, tail), weights[cols])
 
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
             results[i] = _result(d, float(omegas[i]), int(js[i]), res)

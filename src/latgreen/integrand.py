@@ -21,16 +21,18 @@ term left, ibar^d e^{q tau}, stays finite at any d.
 Only q depends on omega, and a term's phase depends only on (d, m) and its
 family, never on the piece j.  The Bessel pair is a ``BesselPair`` of
 arrays built once per set of nodes; ``term_weights`` is the float weight
-vector of piece j over the slots of ``term_exponents``; ``eval_terms``
-evaluates any frequencies, of one piece or of many, as one term-major
-(frequencies x nodes) block, and picks the terms of every block by one rule.
+vector of piece j over the slots of ``term_exponents``, which run in the
+formula's order; ``eval_terms`` evaluates any frequencies, of one piece or
+of many, as one term-major (frequencies x nodes) block, and reads the terms
+of every block from its weights: a term is formed on the rows whose weight
+for it is nonzero.
 
 Inside the band (0 <= j <= d-1) all d+1 terms of a piece have a nonzero
 coefficient.  Outside it (j = -1 or j = d) all but the m = d one are
 exactly zero, and the integrand is the single term +-(1/2^d) ibar^d
 e^{(d-|omega|)tau} = +-I0(tau)^d e^{-|omega| tau}.  ``eval_terms`` forms only
-the terms with a nonzero coefficient, so such a frequency costs one term
-at any d.
+the terms with a nonzero weight, so such a frequency costs one term at
+any d.
 
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
 the weights it would move the first non-finite band value from d ~ 106 to
@@ -39,7 +41,6 @@ that the per-piece bitwise reference sees.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .bessel import BesselPair, i0e, k0e
-from .coefficients import PhasedInteger, coefficient_table, staircase_j
+from .coefficients import PhasedInteger, check_dimension, coefficient_table, staircase_j
 
 __all__ = [
     "TermSpec",
@@ -113,27 +114,26 @@ class TailClass:
 def term_exponents(d: int, omegas) -> np.ndarray:
     """The net exponent of every slot for each frequency.
 
-    The 2(d+1) slots are the C terms m = d, d-1, ..., 0 (exponent
-    2m - d - omega) followed by the D terms m = 0, 1, ..., d (exponent
-    2m - d + omega): slot k holds m = d-k for k <= d and m = k-d-1 after,
-    and the d+1 terms of piece j fill the contiguous slots d-j .. 2d-j.
-    Returns a (frequencies x 2(d+1)) array; an exponent within
+    The 2(d+1) slots run in the formula's order: the C terms m = 0..d in
+    slots 0..d (exponent 2m - d - omega), then the D terms m = 0..d in
+    slots d+1..2d+1 (exponent 2m - d + omega).  Returns a
+    (frequencies x 2(d+1)) array; an exponent within
     ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1, 1)
-    base = np.arange(d, -d - 1, -2.0)  # 2m - d over the C slots, m = d..0
-    q = np.concatenate((base - omegas, base[::-1] + omegas), axis=1)
+    base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
+    q = np.concatenate((base - omegas, base + omegas), axis=1)
     q[np.abs(q) <= VAN_HOVE_SNAP_TOL * max(1.0, d)] = 0.0
     return q
 
 
 def build_integrand(d: int, omega: float) -> IntegrandSpec:
     """Assemble all d+1 terms of the piecewise formula for (d, omega)."""
-    omega = float(omega)
-    j = staircase_j(d, omega)  # validates d and omega
+    d, omega = check_dimension(d), float(omega)
+    j = staircase_j(d, omega)  # validates omega
     table = coefficient_table(d, j)
     q = term_exponents(d, [omega])[0].tolist()
-    terms = [TermSpec(m=m, coeff=coeff, sign=+1, exponent=q[d - m])
+    terms = [TermSpec(m=m, coeff=coeff, sign=+1, exponent=q[m])
              for m, coeff in enumerate(table.c)]
     terms += [TermSpec(m=m, coeff=coeff, sign=-1, exponent=q[d + 1 + m])
               for m, coeff in enumerate(table.dcoef)]
@@ -147,13 +147,14 @@ def term_weights(d: int, j: int) -> np.ndarray:
 
     A weight is the term's sign times its coefficient magnitude, negated
     for the phases 2 and 3, and 0.0 in a slot that piece j lacks or whose
-    coefficient is zero.  The term of slot k adds to the imaginary part
-    when d+m is odd: both families carry the phase -(d+m) or d+m mod 4.
+    coefficient is zero; so the nonzero weights are exactly the terms the
+    piece has.  The term of slot k adds to the imaginary part when d+m is
+    odd: both families carry the phase -(d+m) or d+m mod 4.
     """
     table = coefficient_table(d, j)
     weights = np.zeros(2 * d + 2)
     for m, coeff in enumerate(table.c):
-        weights[d - m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
+        weights[m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
     for m, coeff in enumerate(table.dcoef):
         weights[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
     weights.flags.writeable = False
@@ -166,54 +167,43 @@ def bessel_table(tau) -> BesselPair:
     return BesselPair(kbar=(2.0 / math.pi) * k0e(tau), ibar=2.0 * i0e(tau), tau=tau)
 
 
-def _block_slots(d: int, js) -> tuple[list[int], int, int]:
-    """The slots of the terms a block of the pieces ``js`` (a nondecreasing
-    int array) forms, in the order they are added, and the first rows with
-    j >= 0 and with j = d.
-
-    The terms run C m = 0..d, then D m = 0..d, and each reaches the rows
-    whose piece has it with a nonzero coefficient: C m < d those with
-    m <= j <= d-1, C m = d j = d, D m < d 0 <= j <= d-1-m and D m = d j = -1.
-    For one piece the slots are exactly its terms with a nonzero
-    coefficient, in the formula's order; for several, their union.
-    """
-    js = js.tolist()
-    n, bottom, top = len(js), bisect.bisect_left(js, 0), bisect.bisect_left(js, d)
-    j_lo, j_hi = (js[bottom], js[top - 1]) if bottom < top else (d, -1)
-    ks = [*range(d, d - j_hi - 1, -1), *([0] if top < n else []),
-          *range(d + 1, 2 * d + 1 - j_lo), *([2 * d + 1] if bottom else [])]
-    return ks, bottom, top
-
-
-def eval_terms(d: int, js, exponents: np.ndarray, table: BesselPair,
+def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
                weights: np.ndarray) -> np.ndarray:
     """Evaluate the integrand of several frequencies on one Bessel table.
 
-    Row r is a frequency of piece ``js[r]`` (an int array, nondecreasing)
-    with the slot exponents ``exponents[r]`` (see ``term_exponents``) and
-    weights ``weights[r]`` (``term_weights(d, js[r])``).  Returns the
-    complex (rows x nodes) block ``(1/2^d) * sum_terms sign * coeff *
-    kbar^{d-m} ibar^m e^{exponent*tau}``, with 1/2^d applied last (see the
-    module docstring).
+    Row r is a frequency with the slot exponents ``exponents[r]`` (see
+    ``term_exponents``) and weights ``weights[r]`` (``term_weights`` of its
+    piece), the rows ordered by piece.  Returns the complex (rows x nodes)
+    block ``(1/2^d) * sum_terms sign * coeff * kbar^{d-m} ibar^m
+    e^{exponent*tau}``, with 1/2^d applied last (see the module docstring).
 
-    One rule, ``_block_slots``, picks the terms of a block of one piece or
-    of many, and each row receives those of its piece with the arithmetic
-    and in the order of a single frequency: it does not depend on the rows
-    it is batched with, and a term no row has is never formed.  A block of
-    one piece forms the exponent*tau products of at most ``_QTAU_ELEMENTS``
-    elements (or of one term) at once and scales them by scalar weights; a
-    mixed block forms them one term at a time, on the rows that use it
-    only.  Underflowed terms contribute exactly 0; an overflow shows as a
-    non-finite value, which the quadrature flags.
+    The weights pick the terms: the block forms the slots that are nonzero
+    in some row, in slot order, which is the formula's order, and each term
+    reaches the rows whose weight for it is nonzero.  Since the rows are
+    ordered by piece, those rows are one contiguous run.  So each row
+    receives the terms of its piece with the arithmetic and in the order of
+    a single frequency: it does not depend on the rows it is batched with,
+    and a term no row has is never formed.  A block whose first and last
+    rows have the same terms is of one piece; it forms the exponent*tau
+    products of at most ``_QTAU_ELEMENTS`` elements (or of one term) at
+    once and scales them by scalar weights.  A mixed block forms them one
+    term at a time, on the rows that use it only.  Underflowed terms
+    contribute exactly 0; an overflow shows as a non-finite value, which
+    the quadrature flags.
     """
-    tau = table.tau
-    ks, bottom, top = _block_slots(d, js)
-    mixed = js[0] != js[-1]
+    tau, n = table.tau, len(weights)
+    # a piece is identified by its terms, and the rows are ordered by piece
+    mixed = n > 1 and ((weights[0] != 0.0) != (weights[-1] != 0.0)).any()
     if mixed:
-        # cut[k] is the first row with j >= t, where t runs d..0 over the C
-        # slots and again over the D slots
-        cut = np.searchsorted(js, 2 * list(range(d, -1, -1))).tolist()
-    re = np.zeros((len(js), tau.size))
+        has = weights != 0.0
+        # slot k reaches the rows [lo[k], hi[k]), those weighing it nonzero;
+        # argmax is 0 also for a slot that no row has (has.any(0) is slower)
+        lo = has.argmax(0)
+        ks = np.flatnonzero(has[0] | (lo > 0)).tolist()
+        lo, hi = lo.tolist(), (n - has[::-1].argmax(0)).tolist()
+    else:
+        ks = np.flatnonzero(weights[0]).tolist()
+    re = np.zeros((n, tau.size))
     im = np.zeros_like(re)
     # terms per group; a mixed block forms each term's products on its rows
     g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // re.size, d + 1))
@@ -224,16 +214,13 @@ def eval_terms(d: int, js, exponents: np.ndarray, table: BesselPair,
             group = ks[a:a + g]
             qtau = None if mixed else exponents.take(group, axis=1).T[:, :, None] * tau
             for i, k in enumerate(group):
-                m = d - k if k <= d else k - d - 1
+                m = k if k <= d else k - d - 1
                 f = factors.get(m)
                 if f is None:
                     f = factors[m] = table.kbar**(d - m) * table.ibar**m
                 acc = im if (d + m) & 1 else re
                 if mixed:
-                    # C m < d reaches [cut[k], top), C m = d [top, n),
-                    # D m < d [bottom, cut[k]) and D m = d [0, bottom)
-                    rows = (slice(cut[k], top if k else None) if k <= d
-                            else slice(bottom if k <= 2 * d else 0, cut[k]))
+                    rows = slice(lo[k], hi[k])
                     w, acc = weights[rows, k, None], acc[rows]
                     q = exponents[rows, k, None] * tau
                 else:
@@ -252,7 +239,7 @@ def eval_integrand(spec: IntegrandSpec, tau):
     """
     tau_arr = np.asarray(tau, dtype=float)
     exponents = term_exponents(spec.d, [spec.omega])
-    out = eval_terms(spec.d, np.array([spec.j]), exponents, bessel_table(tau_arr.ravel()),
+    out = eval_terms(spec.d, exponents, bessel_table(tau_arr.ravel()),
                      term_weights(spec.d, spec.j)[None])[0]
     return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 

@@ -10,11 +10,13 @@ few-digit cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .coefficients import check_dimension
 from .errors import DomainError, TruncationTooCoarseError
 from .green import dos_from_result, green_sweep
 from .quadrature import QuadratureConfig, integrate_finite
@@ -62,10 +64,11 @@ def _walk_counts(d: int, kmax: int) -> list[int]:
 
 def moments(d: int, kmax: int) -> MomentTable:
     """Exact rational moments m_{2k} for k = 0..kmax."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not 0 <= kmax <= _MAX_KMAX:
-        raise DomainError(f"kmax must be in [0, {_MAX_KMAX}], got {kmax}")
+    d = check_dimension(d)
+    if (not isinstance(kmax, numbers.Integral) or isinstance(kmax, bool)
+            or not 0 <= kmax <= _MAX_KMAX):
+        raise DomainError(f"kmax must be in [0, {_MAX_KMAX}], got {kmax!r}")
+    kmax = int(kmax)
     counts = _walk_counts(d, kmax)
     return MomentTable(
         d=d, moments=tuple(Fraction(w, 4**k) for k, w in enumerate(counts))
@@ -160,10 +163,9 @@ def dos_convolution(
     interior van Hove points of the other factor become subinterval
     endpoints handled by tanh-sinh.
     """
+    d1, d2 = check_dimension(d1), check_dimension(d2)
     cfg = cfg or QuadratureConfig.fast()
     inner = _inner(cfg)
-    if d1 < 1 or d2 < 1:
-        raise DomainError("both dimensions must be >= 1")
     if d2 == 1 and d1 != 1:
         d1, d2 = d2, d1  # put the closed-form factor first
     lo = max(-float(d1), omega - d2)

@@ -138,6 +138,18 @@ def test_domain_errors():
             bessel_scaled(bad)
     with pytest.raises(DomainError):
         bessel_k0(0.0)
+    for bad in (True, False, np.float64(-1.0), np.float32(np.nan)):
+        with pytest.raises(DomainError):
+            bessel_k0(bad)
+
+
+def test_numpy_scalars_are_real_numbers():
+    # any real scalar but a bool is a tau, and evaluates as the float it equals
+    for tau in (np.float32(1.0), np.float64(2.5), np.int64(1), np.int32(3)):
+        assert bessel_k0(tau) == bessel_k0(float(tau))
+        assert bessel_i0(tau) == bessel_i0(float(tau))
+        assert bessel_scaled(tau) == bessel_scaled(float(tau))
+    assert bessel_i0(np.int64(0)) == 1.0
 
 
 def test_i0_overflow_raises():

@@ -163,6 +163,9 @@ def test_staircase_consistent_with_sizes(d, omega):
 def test_zero_coefficients_are_the_outside_band_ones():
     # outside the band (j = -1 or d) only the m = d coefficient is nonzero,
     # inside it none is zero: eval_terms forms exactly the nonzero terms.
+    # With C m = 0..j and D m = 0..d-1-j, no two pieces have the same
+    # terms, and the pieces having a term are one run of j, as eval_terms
+    # assumes of a block ordered by piece.
     # Uncached, so that the 7,500 tables do not stay in memory.
     exact = coefficient_table.__wrapped__
     for d in range(1, 121):

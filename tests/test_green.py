@@ -191,6 +191,17 @@ def test_sweep_validates_dimension_on_empty_grid(d):
         green_sweep(d, [])
 
 
+@pytest.mark.parametrize("d", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_dimension_is_an_int(d):
+    # a numpy integer d is the Python int it equals, from the first step on
+    res = green_local(d, 0.5)
+    assert type(res.d) is int and type(build_integrand(d, 0.5).d) is int
+    assert repr(res) == repr(green_local(3, 0.5))
+    assert [repr(r) for r in green_sweep(d, [0.5, 4.0])] == [
+        repr(r) for r in green_sweep(3, [0.5, 4.0])]
+    assert dos(d, 0.5) == dos(3, 0.5)
+
+
 def test_sweep_validates_every_frequency():
     with pytest.raises(DomainError):
         green_sweep(3, [0.0, math.nan])

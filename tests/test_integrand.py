@@ -5,7 +5,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen import integrand
 from latgreen.bessel import bessel_i0, bessel_k0
 from latgreen.coefficients import coefficient_table, staircase_js
 from latgreen.errors import DomainError
@@ -94,7 +93,7 @@ def test_every_formed_term_has_a_nonpositive_exponent(d):
     js = staircase_js(d, grid).tolist()
     assert set(js) == set(range(-1, d + 1))
     for q, j in zip(term_exponents(d, grid), js):
-        assert q[integrand._block_slots(d, np.array([j]))[0]].max() <= 0.0
+        assert q[np.flatnonzero(term_weights(d, j))].max() <= 0.0
 
 
 def test_cubic_band_centre_reduction():
@@ -226,7 +225,7 @@ def test_mixed_block_is_bitwise_per_piece(d):
     for tau in (half_line_nodes(0, True), half_line_nodes(4, False),
                 half_line_nodes(4, True), half_line_nodes(8, True)):
         table = bessel_table(tau)
-        got = eval_terms(d, js, term_exponents(d, omegas), table, weights)
+        got = eval_terms(d, term_exponents(d, omegas), table, weights)
         for j in set(js.tolist()):
             rows = np.flatnonzero(js == j)
             ref = _per_piece_reference([specs[r] for r in rows], table)
@@ -236,7 +235,7 @@ def test_mixed_block_is_bitwise_per_piece(d):
 def _spec_slots(spec):
     # the slot of each term of a spec, in the formula's order
     d = spec.d
-    return [d - t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
+    return [t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
 
 
 def _piece_spec(d, j):
@@ -255,32 +254,14 @@ def test_term_weights_match_coefficients():
             assert weights.shape == (2 * d + 2,)
             spec = _piece_spec(d, j)
             slots = _spec_slots(spec)
+            assert slots == sorted(slots)  # slot order is the formula's order
             for t, k in zip(spec.terms, slots):
-                m = d - k if k <= d else k - d - 1
+                m = k if k <= d else k - d - 1
                 assert m == t.m
                 imag = (d + m) % 2 == 1
                 want = t.sign * t.coeff.complex_value
                 assert (complex(0.0, weights[k]) if imag else weights[k]) == want
             assert all(weights[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))
-
-
-def test_block_slots_are_the_nonzero_terms():
-    # one piece: exactly the slots of its nonzero coefficients, in the
-    # formula's order; several pieces: the union of theirs, in the order
-    # C m = 0..d (slots d..0), then D m = 0..d (slots d+1..2d+1)
-    for d in (1, 2, 5, 40):
-        nonzero = {}
-        for j in range(-1, d + 1):
-            spec = _piece_spec(d, j)
-            want = [k for t, k in zip(spec.terms, _spec_slots(spec)) if t.coeff.magnitude != 0]
-            assert integrand._block_slots(d, np.array([j]))[0] == want
-            assert set(want) == set(np.flatnonzero(term_weights(d, j)).tolist())
-            nonzero[j] = set(want)
-        for block in ([-1, 0], [d - 1, d], [-1, d], list(range(-1, d + 1)),
-                      [0, 0, d // 2, d // 2, d - 1] if d > 1 else [0, 0]):
-            ks = integrand._block_slots(d, np.array(block))[0]
-            assert ks == sorted(set(ks), key=lambda k: (k > d, -k if k <= d else k))
-            assert set(ks) == set().union(*(nonzero[j] for j in block))
 
 
 def test_term_weights_are_cached_and_read_only():

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latgreen.errors import DomainError, TruncationTooCoarseError
@@ -181,3 +182,15 @@ def test_moment_domain_errors():
         moments(0, 3)
     with pytest.raises(DomainError):
         moments(3, 500)
+    # d is checked by the rule of every other entry point, and kmax is a
+    # non-bool integer the same way
+    for d, kmax in ((2.5, 3), (3, 2.5), (True, 2), (3, True), ("3", 2), (3, None)):
+        with pytest.raises(DomainError):
+            moments(d, kmax)
+    assert moments(np.int64(3), np.int64(2)) == moments(3, 2)
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 2), (1, -1), (1.0, 2), (True, 2), (1, True)])
+def test_dos_convolution_checks_dimensions(d1, d2):
+    with pytest.raises(DomainError):
+        dos_convolution(d1, d2, 0.5)

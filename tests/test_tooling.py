@@ -1,15 +1,18 @@
-"""The benchmark's tracer must find every function it wraps, and the
-record dump must run."""
+"""The benchmark's tracer must find every function it wraps, the record
+dump must run, and no value of the benchmark's pool may be silently
+wrong."""
 import importlib.util
 import itertools
 import os
 import sys
+from collections import Counter, defaultdict
 
-from latgreen import green_local
+from latgreen import green_local, green_sweep
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import check  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -74,3 +77,27 @@ def test_dump_records_compare_reports_by_d(tmp_path, capsys):
             ("piece_j", "piece_j=", "piece_j=1")):
         code, out = compare([lines[0].replace(old_text, new_text), *lines[1:]])
         assert code == 1 and f"({name} 1)" in out[0]
+
+
+def test_pool_values_are_right_or_flagged():
+    # every reference of the pool, judged by the benchmark's own verdict:
+    # a failing value must carry a flag, and the failures are the known
+    # in-band ones of d >= 8 (ROADMAP item 1)
+    _, refs = check.load_pool(os.path.join(ROOT, "perfbench", "pool.json"))
+    omegas = defaultdict(list)
+    for k in refs:
+        d, omega = k.split(":")
+        omegas[int(d)].append(float(omega))
+    failed, silent_wrong = Counter(), 0
+    for d, grid in omegas.items():
+        for r in green_sweep(d, grid):
+            flags = frozenset(name for name, on in (
+                ("van_hove_adjacent", r.van_hove_adjacent), ("divergent", r.divergent),
+                ("nonconverged", not r.converged)) if on)
+            if not check.value_ok(refs[check.key(d, r.omega)], r.value, r.abs_error, flags):
+                failed[d] += 1
+                silent_wrong += not flags
+    assert len(refs) == 1428
+    assert silent_wrong == 0
+    assert len(refs) - sum(failed.values()) == 1273
+    assert set(failed) == {8, 12, 20, 40, 80, 120}
