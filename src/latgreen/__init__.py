@@ -2,14 +2,13 @@
 
 Computes the local Green function G_d(omega) (nearest-neighbour hopping 1/2,
 band [-d, d]) to near machine precision for any real frequency and any
-dimension, together with the density of states and a battery of independent
-verification oracles.
+dimension, together with the density of states and a battery of
+verification oracles (see ``latgreen.oracles`` for which are independent).
 """
 from .bessel import BesselPair, bessel_i0, bessel_k0, bessel_scaled
 from .coefficients import CoefficientTable, PhasedInteger, coefficient_table, staircase_j
 from .errors import (
     BesselOverflowError,
-    DivergentIntegralError,
     DomainError,
     TruncationTooCoarseError,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "dos",
     "DomainError",
     "BesselOverflowError",
-    "DivergentIntegralError",
     "TruncationTooCoarseError",
 ]
 

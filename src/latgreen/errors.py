@@ -9,9 +9,5 @@ class BesselOverflowError(OverflowError):
     """Unscaled Bessel value exceeds the double range; use the scaled form."""
 
 
-class DivergentIntegralError(ArithmeticError):
-    """The requested integral does not converge."""
-
-
 class TruncationTooCoarseError(ValueError):
     """Truncation/tail bound exceeds the requested tolerance."""

@@ -1,11 +1,21 @@
-"""Independent verification engines for the main evaluator.
+"""Verification engines for the main evaluator, of two kinds.
 
-None of these share code paths with the piecewise Bessel-product method:
-exact closed-walk moments feed a large-|omega| Laurent series, the 1d chain
-has a closed form, dimensions add under convolution of the densities of
-states, the defining Brillouin-zone integral can be brute-forced at finite
-broadening, and the oscillatory Bessel-J Fourier integral gives a coarse
-few-digit cross-check.
+The independent oracles share no code path with the piecewise
+Bessel-product method: exact closed-walk moments (``moments``) feed a
+large-|omega| Laurent series (``laurent_green``), the 1d chain has a closed
+form (``g1_closed_form``), the defining Brillouin-zone integral can be
+brute-forced at finite broadening (``bz_bruteforce``), and the oscillatory
+Bessel-J Fourier integral gives a coarse few-digit cross-check
+(``bessel_j_fourier``).
+
+The identity checks integrate the evaluator's own density of states, so
+they test it against itself: its normalization (``dos_normalization``), its
+even moments (``dos_moment``, against the exact ones), its
+Lorentzian-broadened spectral form (``lorentz_broadened``, against the
+brute force), and dimension addition A_{d1+d2} = A_{d1} * A_{d2}
+(``dos_convolution``).  Each of them is one band integral,
+``_band_integral``, except a convolution with a 1d factor, which
+integrates that factor's closed form exactly.
 """
 from __future__ import annotations
 
@@ -132,10 +142,15 @@ def _breakpoints(lo: float, hi: float, interior: list[float]) -> list[float]:
     return out
 
 
-# Margin kept between quadrature subintervals and frequencies where a d <= 2
+# Margin kept between quadrature subintervals and frequencies where a d = 2
 # density of states is singular; the omitted spectral mass is O(margin) for
-# finite or logarithmic behaviour, far below the tested tolerances.
+# its finite or logarithmic behaviour there, far below the tested tolerances.
 _SING_MARGIN = 1e-9
+
+# For d = 1 a band integral runs in x = sin(theta); theta stays this far from
+# +-pi/2, where the theta resolution of x is quadratic, so that x stays
+# outside the snap zone of the band edges.
+_THETA_MARGIN = 8e-7
 
 
 def _dos_grid(d: int, x, cfg: QuadratureConfig) -> np.ndarray:
@@ -153,15 +168,61 @@ def _inner(cfg: QuadratureConfig) -> QuadratureConfig:
     )
 
 
+def _band_integral(
+    d: int, h, cfg: QuadratureConfig | None = None, lo: float | None = None,
+    hi: float | None = None, cuts=(), singular_cuts: bool = False,
+) -> complex:
+    """The integral of A_d(x) h(x) over [lo, hi], the band by default, with
+    A_d from the evaluator's own sweep.
+
+    ``h`` maps an array of frequencies to its values.  The range is split at
+    the van Hove frequencies of d and at ``cuts``, where h may have kinks.
+    A breakpoint keeps ``_SING_MARGIN`` only where a factor is singular: at
+    a van Hove frequency of d = 2 or, with ``singular_cuts``, at a cut.  For
+    d = 1 the integral runs in x = sin(theta), which removes the
+    inverse-square-root edges of A_1.
+    """
+    d = check_dimension(d)
+    cfg = cfg or QuadratureConfig.fast()
+    inner = _inner(cfg)
+    lo = -float(d) if lo is None else lo
+    hi = float(d) if hi is None else hi
+    van_hove = _van_hove_points(d)
+    singular = (van_hove if d == 2 else []) + (list(cuts) if singular_cuts else [])
+
+    def margin(p):
+        return _SING_MARGIN if any(abs(p - s) <= 2.0 * _SING_MARGIN for s in singular) else 0.0
+
+    def in_x(x):
+        return _dos_grid(d, x, inner) * h(x)
+
+    pts = _breakpoints(lo, hi, van_hove + list(cuts))
+    ends = np.array([(a + margin(a), b - margin(b)) for a, b in zip(pts, pts[1:])])
+    g = in_x
+    if d == 1:
+        top = 0.5 * math.pi - _THETA_MARGIN
+        ends = np.clip(np.arcsin(ends), -top, top)
+
+        def g(th):  # A_1(x) dx = A_1(sin(theta)) cos(theta) d(theta)
+            return in_x(np.sin(th)) * np.cos(th)
+
+    total = 0.0 + 0.0j
+    for a, b in ends.tolist():
+        if a < b:  # a subinterval inside the margins of its ends is omitted
+            total += integrate_finite(g, a, b, cfg).value
+    return total
+
+
 def dos_convolution(
     d1: int, d2: int, omega: float, cfg: QuadratureConfig | None = None
 ) -> float:
     """A_{d1+d2}(omega) as the convolution integral of A_{d1} and A_{d2}.
 
-    A 1d factor is integrated in the variable x = sin(theta), which removes
-    its inverse-square-root edge singularities analytically; remaining
-    interior van Hove points of the other factor become subinterval
-    endpoints handled by tanh-sinh.
+    A 1d factor is integrated in the variable x = sin(theta), where its
+    closed form A_1(x) dx = d(theta)/pi is exact; remaining interior van
+    Hove points of the other factor become subinterval endpoints handled by
+    tanh-sinh.  Two factors with d >= 2 are one band integral of A_{d1}
+    against A_{d2}(omega - x), both from the evaluator.
     """
     d1, d2 = check_dimension(d1), check_dimension(d2)
     cfg = cfg or QuadratureConfig.fast()
@@ -172,107 +233,56 @@ def dos_convolution(
     hi = min(float(d1), omega + d2)
     if lo >= hi:
         return 0.0
+    cuts = [omega - v for v in _van_hove_points(d2)]
+
+    if d1 >= 2:
+        return _band_integral(
+            d1, lambda x: _dos_grid(d2, omega - x, inner), cfg, lo, hi, cuts,
+            singular_cuts=d2 == 2,
+        ).real
 
     def a2(x):
         if d2 == 1:
             return np.asarray([_a1(v) for v in np.atleast_1d(x)])
         return _dos_grid(d2, x, inner)
 
+    # x = sin(theta); A_1(x) dx = d(theta)/pi.  Outer edges only need a
+    # margin when a singular frequency of the other factor sits on them.
+    # A closed-form second factor has no van Hove snap zone, so the
+    # clearance only needs to prevent an exact singular evaluation; its
+    # inverse-square-root cuts would otherwise lose ~sqrt(margin) mass
+    cut_margin = 1e-13 if d2 == 1 else _SING_MARGIN
+
+    def edge_margin_theta(edge):
+        if not any(abs(c - edge) <= 1e-6 for c in cuts):
+            return 0.0
+        # at |x| = 1 the theta resolution of x is quadratic, so a larger
+        # clearance is needed to stay out of the snap zone
+        return _THETA_MARGIN if abs(edge) >= 1.0 - 1e-6 else 2.0 * cut_margin
+
+    tlo, thi = math.asin(lo) + edge_margin_theta(lo), math.asin(hi) - edge_margin_theta(hi)
+    tcuts = [math.asin(c) for c in cuts if lo < c < hi]
+    pts = _breakpoints(tlo, thi, tcuts)
     total = 0.0
-    if d1 == 1:
-        # x = sin(theta); A_1(x) dx = d(theta)/pi.  Outer edges only need a
-        # margin when a singular frequency of the other factor sits on them.
-        cuts = [omega - v for v in _van_hove_points(d2)]
-        # a closed-form second factor has no van Hove snap zone, so the
-        # clearance only needs to prevent an exact singular evaluation; its
-        # inverse-square-root cuts would otherwise lose ~sqrt(margin) mass
-        cut_margin = 1e-13 if d2 == 1 else _SING_MARGIN
-
-        def edge_margin_theta(edge):
-            if not any(abs(c - edge) <= 1e-6 for c in cuts):
-                return 0.0
-            # at |x| = 1 the theta resolution of x is quadratic, so a larger
-            # clearance is needed to stay out of the snap zone
-            return 8e-7 if abs(edge) >= 1.0 - 1e-6 else 2.0 * cut_margin
-
-        mlo = edge_margin_theta(lo)
-        mhi = edge_margin_theta(hi)
-        tlo, thi = math.asin(lo) + mlo, math.asin(hi) - mhi
-        tcuts = [math.asin(c) for c in cuts if lo < c < hi]
-        pts = _breakpoints(tlo, thi, tcuts)
-        for a, b in zip(pts, pts[1:]):
-            ma = cut_margin if a not in (tlo, thi) else 0.0
-            mb = cut_margin if b not in (tlo, thi) else 0.0
-            r = integrate_finite(
-                lambda th: a2(omega - np.sin(th)) / math.pi,
-                a + ma, b - mb, cfg,
-            )
-            total += r.value.real
-        return total
-
-    interior = _van_hove_points(d1) + [omega - v for v in _van_hove_points(d2)]
-    pts = _breakpoints(lo, hi, interior)
     for a, b in zip(pts, pts[1:]):
+        ma = cut_margin if a not in (tlo, thi) else 0.0
+        mb = cut_margin if b not in (tlo, thi) else 0.0
         r = integrate_finite(
-            lambda x: _dos_grid(d1, x, inner) * a2(omega - np.atleast_1d(x)),
-            a + _SING_MARGIN,
-            b - _SING_MARGIN,
-            cfg,
+            lambda th: a2(omega - np.sin(th)) / math.pi,
+            a + ma, b - mb, cfg,
         )
         total += r.value.real
     return total
 
 
-def dos_weighted_integral(
-    d: int, weight, cfg: QuadratureConfig | None = None, edge_margin: float = 1e-9
-) -> float:
-    """Piecewise integral of weight(omega)*A_d(omega) over the band, split at
-    the van Hove frequencies.
-
-    For d = 1 the integration runs in omega = sin(theta) so the edge
-    divergence disappears; for d = 2 a margin is kept away from the exact
-    singular frequencies (the omitted mass is far below the tested
-    tolerances)."""
-    cfg = cfg or QuadratureConfig.fast()
-    inner = _inner(cfg)
-
-    def weights(x):
-        return np.asarray([weight(float(v)) for v in x])
-
-    if d == 1:
-        theta_max = 0.5 * math.pi - 8e-7  # keeps sin(theta) off the snap zone
-
-        def g(th):
-            th = np.atleast_1d(th)
-            x = np.sin(th)
-            return _dos_grid(1, x, inner) * weights(x) * np.cos(th)
-
-        total = 0.0
-        for a, b in ((-theta_max, 0.0), (0.0, theta_max)):
-            total += integrate_finite(g, a, b, cfg).value.real
-        return total
-
-    margin = edge_margin if d == 2 else 0.0
-
-    def g(x):
-        return _dos_grid(d, x, inner) * weights(np.atleast_1d(x))
-
-    total = 0.0
-    pts = _van_hove_points(d)
-    for a, b in zip(pts, pts[1:]):
-        a, b = a + margin, b - margin
-        total += integrate_finite(g, a, b, cfg).value.real
-    return total
-
-
 def dos_normalization(d: int, cfg: QuadratureConfig | None = None) -> float:
     """Total spectral weight of A_d; equals 1 for every d."""
-    return dos_weighted_integral(d, lambda _x: 1.0, cfg)
+    return _band_integral(d, lambda _x: 1.0, cfg).real
 
 
 def dos_moment(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
     """Numerical even moment integral of omega^{2k} against A_d."""
-    return dos_weighted_integral(d, lambda x: x ** (2 * k), cfg)
+    return _band_integral(d, lambda x: x ** (2 * k), cfg).real
 
 
 def bz_bruteforce(d: int, omega: float, eta: float, n: int) -> complex:
@@ -281,10 +291,11 @@ def bz_bruteforce(d: int, omega: float, eta: float, n: int) -> complex:
     A coarse oracle: converges to the broadened Green function as n grows,
     so quantitative comparisons should broaden the reference by the same
     Lorentzian kernel."""
-    if d not in (1, 2, 3):
+    d = check_dimension(d)
+    if d > 3:
         raise DomainError("brute force supported for d in {1, 2, 3} only")
-    if n < 64:
-        raise DomainError("need at least 64 grid points per axis")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 64:
+        raise DomainError(f"need an integer of at least 64 grid points per axis, got {n!r}")
     if not eta > 0.0:
         raise DomainError("eta must be positive")
     k = (np.arange(n) + 0.5) * (math.pi / n)
@@ -305,21 +316,8 @@ def lorentz_broadened(
 ) -> complex:
     """G_d(omega + i*eta) from the method's own DOS via the spectral
     representation; the comparison target for bz_bruteforce."""
-    cfg = cfg or QuadratureConfig.fast()
-    inner = _inner(cfg)
     z = complex(omega, eta)
-    total = 0.0 + 0.0j
-    pts = _van_hove_points(d)
-    margin = _SING_MARGIN if d <= 2 else 0.0
-    for a, b in zip(pts, pts[1:]):
-        r = integrate_finite(
-            lambda x: _dos_grid(d, x, inner) / (z - np.atleast_1d(x)),
-            a + margin,
-            b - margin,
-            cfg,
-        )
-        total += r.value
-    return total
+    return _band_integral(d, lambda x: 1.0 / (z - x), cfg)
 
 
 def bessel_j_fourier(
@@ -329,6 +327,7 @@ def bessel_j_fourier(
 
     Accuracy is limited to a few digits by the oscillations; the absolute
     tail bound |J0(t)|^d <= (2/(pi t))^{d/2} must fall below tol at tmax."""
+    d = check_dimension(d)
     if d < 3:
         raise TruncationTooCoarseError(
             "the |J0|^d tail bound is not integrable for d < 3"

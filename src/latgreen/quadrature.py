@@ -42,9 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError
-from .integrand import TailClass, TailKind
-
 __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
@@ -315,14 +312,11 @@ def integrate_half_line(f, n: int, cfg: QuadratureConfig) -> list[QuadratureResu
     return [_combine(h, t) for h, t in zip(parts[:n], parts[n:])]
 
 
-def integrate_semiinfinite(f, tail: TailClass, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integral of f over (0, inf); ``tail`` only decides whether it exists.
-
-    Raises DivergentIntegralError for a divergent tail; a non-converged
-    result is returned with ``converged=False`` rather than raised.
+def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+    """Integral over (0, inf) of f, whose tail the caller knows to be
+    integrable; a non-converged result is returned with ``converged=False``
+    rather than raised.
     """
     cfg = cfg or QuadratureConfig()
-    if tail.kind is TailKind.DIVERGENT:
-        raise DivergentIntegralError("integrand has a non-integrable tail")
     return integrate_half_line(
         lambda level, part, cols: f(half_line_nodes(level, part)), 1, cfg)[0]

@@ -1,4 +1,4 @@
-"""Tests for the independent verification engines."""
+"""Tests for the verification engines: independent oracles and identity checks."""
 import itertools
 import math
 from fractions import Fraction
@@ -194,3 +194,59 @@ def test_moment_domain_errors():
 def test_dos_convolution_checks_dimensions(d1, d2):
     with pytest.raises(DomainError):
         dos_convolution(d1, d2, 0.5)
+
+
+_BAD_INPUTS = {
+    "normalization-bool": (dos_normalization, (True,)),
+    "normalization-zero": (dos_normalization, (0,)),
+    "normalization-float": (dos_normalization, (2.0,)),
+    "moment-bool": (dos_moment, (True, 1)),
+    "lorentz-zero": (lorentz_broadened, (0, 0.5, 0.1)),
+    "bz-bool": (bz_bruteforce, (True, 3.0, 1e-3, 128)),
+    "bz-float": (bz_bruteforce, (2.0, 0.3, 0.1, 128)),
+    "bz-float-n": (bz_bruteforce, (2, 0.3, 0.1, 128.0)),
+    "bz-bool-n": (bz_bruteforce, (2, 0.3, 0.1, True)),
+    "fourier-float": (bessel_j_fourier, (3.5, 0.0, 1e4, 20000, 1.0)),
+    "fourier-bool": (bessel_j_fourier, (True, 0.0, 1e4, 20000, 1.0)),
+}
+
+
+@pytest.mark.parametrize("oracle, args", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_every_oracle_checks_its_dimension(oracle, args):
+    # one input rule, coefficients.check_dimension, in every oracle taking d
+    with pytest.raises(DomainError):
+        oracle(*args)
+
+
+def test_oracles_take_numpy_integers():
+    assert dos_normalization(np.int64(3), FAST) == dos_normalization(3, FAST)
+    assert bz_bruteforce(np.int64(1), 3.0, 1e-3, np.int64(128)) == bz_bruteforce(1, 3.0, 1e-3, 128)
+
+
+@pytest.mark.parametrize("d1, d2, w", [
+    (3, 3, 0.0), (3, 3, 1.0), (3, 3, 2.9), (4, 4, 0.0), (4, 4, 3.3), (3, 4, 0.5),
+])
+def test_doubling_keeps_no_margin_at_regular_frequencies(d1, d2, w):
+    # for d >= 3 both factors are finite at every breakpoint, so the band
+    # integral reaches the evaluator's own accuracy
+    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-13
+
+
+@pytest.mark.parametrize("d1, d2, w", [(2, 2, 3.7), (2, 3, 1.1)])
+def test_doubling_keeps_margins_at_singular_frequencies(d1, d2, w):
+    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-8
+
+
+@pytest.mark.parametrize("w", [0.0, 1e-10])
+def test_doubling_with_cuts_closer_than_a_margin(w):
+    # at 1e-10 the cuts of one d = 2 factor sit inside the margins of the
+    # other's singular frequencies: the subinterval between them is omitted
+    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 2e-8
+
+
+@pytest.mark.parametrize("w", [0.3, 1.7, -0.9])
+def test_lorentz_broadened_chain_against_converged_brute_force(w):
+    # the d = 1 band integral runs in x = sin(theta), so the
+    # inverse-square-root edges cost no margin in x
+    ref = bz_bruteforce(1, w, 0.05, 200_000)
+    assert abs(lorentz_broadened(1, w, 0.05) - ref) <= 5e-6

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from latgreen.bessel import bessel_k0
-from latgreen.errors import DivergentIntegralError
-from latgreen.integrand import TailClass, TailKind, bessel_table
+from latgreen.integrand import bessel_table
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
 from latgreen.oracles import dos_normalization
@@ -21,9 +20,6 @@ from latgreen.quadrature import (
 
 from reference_values import EULER_GAMMA
 
-EXP_TAIL = TailClass(TailKind.EXPONENTIAL, 1.0)
-
-
 def _k0_vec(tau):
     return np.asarray([bessel_k0(float(t)) for t in np.atleast_1d(tau)])
 
@@ -31,9 +27,7 @@ def _k0_vec(tau):
 def test_exponential_unit_integral():
     # integral of r e^{-rt} is 1 for slow and fast decay alike
     for rate in (1.0, 1e-3, 50.0):
-        res = integrate_semiinfinite(
-            lambda t: rate * np.exp(-rate * t), TailClass(TailKind.EXPONENTIAL, rate)
-        )
+        res = integrate_semiinfinite(lambda t: rate * np.exp(-rate * t))
         assert res.converged
         assert res.value.real == pytest.approx(1.0, abs=1e-14)
         assert abs(res.value.imag) < 1e-15
@@ -45,8 +39,7 @@ def test_k0_total_mass():
     for rate in (0.0, 0.5):
         exact = (2.0 / math.pi) * math.acos(rate) / math.sqrt(1.0 - rate**2)
         res = integrate_semiinfinite(
-            lambda t: (2.0 / math.pi) * _k0_vec(t) * np.exp(-rate * t),
-            TailClass(TailKind.EXPONENTIAL, 1.0 + rate),
+            lambda t: (2.0 / math.pi) * _k0_vec(t) * np.exp(-rate * t)
         )
         assert res.converged
         assert res.value.real == pytest.approx(exact, abs=5e-14)
@@ -54,14 +47,13 @@ def test_k0_total_mass():
 
 def test_log_weighted_exponential():
     # integral of -ln(t) e^{-t} equals the Euler-Mascheroni constant
-    res = integrate_semiinfinite(lambda t: -np.log(t) * np.exp(-t), EXP_TAIL)
+    res = integrate_semiinfinite(lambda t: -np.log(t) * np.exp(-t))
     assert res.converged
     assert res.value.real == pytest.approx(EULER_GAMMA, abs=1e-13)
 
 
 def test_power_law_tail():
-    tail = TailClass(TailKind.POWER_LAW, -2.5)
-    res = integrate_semiinfinite(lambda t: (1.0 + t) ** -2.5, tail)
+    res = integrate_semiinfinite(lambda t: (1.0 + t) ** -2.5)
     assert res.converged
     assert res.value.real == pytest.approx(2.0 / 3.0, abs=1e-13)
 
@@ -88,16 +80,16 @@ def test_error_estimate_is_honest():
         (lambda t: np.exp(-t), 1.0),
         (lambda t: -np.log(t) * np.exp(-t), EULER_GAMMA),
     ):
-        res = integrate_semiinfinite(f, EXP_TAIL)
+        res = integrate_semiinfinite(f)
         assert abs(res.value.real - exact) <= 10.0 * max(res.abs_error_estimate, 1e-15)
 
 
 def test_more_levels_do_not_change_converged_result():
     a = integrate_semiinfinite(
-        lambda t: np.exp(-t), EXP_TAIL, QuadratureConfig(max_levels=8)
+        lambda t: np.exp(-t), QuadratureConfig(max_levels=8)
     )
     b = integrate_semiinfinite(
-        lambda t: np.exp(-t), EXP_TAIL, QuadratureConfig(max_levels=16)
+        lambda t: np.exp(-t), QuadratureConfig(max_levels=16)
     )
     assert abs(a.value - b.value) < 1e-14
 
@@ -121,15 +113,8 @@ def test_non_finite_integrand_is_flagged():
     assert res.abs_error_estimate == math.inf
 
 
-def test_divergent_tail_raises():
-    with pytest.raises(DivergentIntegralError):
-        integrate_semiinfinite(
-            lambda t: 1.0 / (1.0 + t), TailClass(TailKind.DIVERGENT)
-        )
-
-
 def test_evaluation_counts_reported():
-    res = integrate_semiinfinite(lambda t: np.exp(-t), EXP_TAIL)
+    res = integrate_semiinfinite(lambda t: np.exp(-t))
     assert res.evaluations > 50
 
 
@@ -174,10 +159,9 @@ def test_head_and_tail_stop_independently(monkeypatch):
     parts = []
     combine = quadrature._combine
     monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
-    exp_tail = integrate_semiinfinite(lambda t: np.exp(-t), EXP_TAIL)
+    exp_tail = integrate_semiinfinite(lambda t: np.exp(-t))
     power_tail = integrate_semiinfinite(
-        lambda t: np.exp(-np.minimum(t, 1.0)) * np.maximum(t, 1.0) ** -2.5,
-        TailClass(TailKind.POWER_LAW, -2.5),
+        lambda t: np.exp(-np.minimum(t, 1.0)) * np.maximum(t, 1.0) ** -2.5
     )
     (head, tail), (same_head, other_tail) = parts
     assert exp_tail.converged and power_tail.converged
@@ -195,7 +179,7 @@ def test_finite_bad_interval():
 
 
 def test_complex_integrand():
-    res = integrate_semiinfinite(lambda t: (1.0 + 2.0j) * np.exp(-t), EXP_TAIL)
+    res = integrate_semiinfinite(lambda t: (1.0 + 2.0j) * np.exp(-t))
     assert res.value == pytest.approx(1.0 + 2.0j, abs=1e-13)
 
 
@@ -356,7 +340,7 @@ def test_non_finite_first_level_reports_the_first_step(monkeypatch):
     parts = []
     combine = quadrature._combine
     monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
-    res = integrate_semiinfinite(lambda t: np.full(t.shape, math.nan), EXP_TAIL)
+    res = integrate_semiinfinite(lambda t: np.full(t.shape, math.nan))
     assert not res.converged and res.abs_error_estimate == math.inf
     assert [p.evaluations for p in parts[0]] == [49, 49]
     assert res.evaluations == 98
