@@ -15,7 +15,10 @@ Lorentzian-broadened spectral form (``lorentz_broadened``, against the
 brute force), and dimension addition A_{d1+d2} = A_{d1} * A_{d2}
 (``dos_convolution``).  Each of them is one band integral,
 ``_band_integral``, except a convolution with a 1d factor, which
-integrates that factor's closed form exactly.
+integrates that factor's closed form exactly.  Both split the range at the
+van Hove frequencies of their factors, and ``_ends`` keeps an end clear
+only of a frequency where a factor is singular: by twice the evaluator's
+snap zone for a d <= 2 factor, by a few ulps for the closed form.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import numpy as np
 from .coefficients import check_dimension
 from .errors import DomainError, TruncationTooCoarseError
 from .green import dos_from_result, green_sweep
+from .integrand import VAN_HOVE_SNAP_TOL
 from .quadrature import QuadratureConfig, integrate_finite
 
 __all__ = [
@@ -46,6 +50,26 @@ __all__ = [
 ]
 
 _MAX_KMAX = 200
+
+
+def _check_count(name: str, value, least: int, most: float = math.inf) -> int:
+    # a non-bool integer in [least, most], returned as an int
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or not least <= value <= most):
+        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_outside_band(d: int, omega: float) -> None:
+    if not abs(omega) > d:
+        raise DomainError(
+            f"Laurent series diverges for |omega| <= d, got omega={omega}, d={d}"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,10 +99,7 @@ def _walk_counts(d: int, kmax: int) -> list[int]:
 def moments(d: int, kmax: int) -> MomentTable:
     """Exact rational moments m_{2k} for k = 0..kmax."""
     d = check_dimension(d)
-    if (not isinstance(kmax, numbers.Integral) or isinstance(kmax, bool)
-            or not 0 <= kmax <= _MAX_KMAX):
-        raise DomainError(f"kmax must be in [0, {_MAX_KMAX}], got {kmax!r}")
-    kmax = int(kmax)
+    kmax = _check_count("kmax", kmax, 0, _MAX_KMAX)
     counts = _walk_counts(d, kmax)
     return MomentTable(
         d=d, moments=tuple(Fraction(w, 4**k) for k, w in enumerate(counts))
@@ -91,6 +112,7 @@ def laurent_truncation_bound(d: int, omega: float, kmax: int) -> float:
     Valid because consecutive moment ratios are bounded by d^2 (moments of a
     spectral variable supported on [-d, d])."""
     table = moments(d, kmax)
+    _check_outside_band(d, omega)
     ratio = (d / omega) ** 2
     return float(
         table.moments[kmax] * abs(omega) ** (-2 * kmax - 1) * ratio / (1.0 - ratio)
@@ -99,11 +121,8 @@ def laurent_truncation_bound(d: int, omega: float, kmax: int) -> float:
 
 def laurent_green(d: int, omega: float, kmax: int) -> complex:
     """Large-|omega| series sum_k m_{2k} omega^{-2k-1}; real outside the band."""
-    if abs(omega) <= d:
-        raise DomainError(
-            f"Laurent series diverges for |omega| <= d, got omega={omega}, d={d}"
-        )
     table = moments(d, kmax)
+    _check_outside_band(d, omega)
     w = Fraction(omega)
     winv2 = 1 / (w * w)
     acc = Fraction(0)
@@ -133,24 +152,35 @@ def _van_hove_points(d: int) -> list[float]:
     return [float(-d + 2 * n) for n in range(d + 1)]
 
 
-def _breakpoints(lo: float, hi: float, interior: list[float]) -> list[float]:
-    pts = [lo] + sorted(p for p in interior if lo < p < hi) + [hi]
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > 1e-12:
-            out.append(p)
+def _clearance(d: int) -> float:
+    # The x clearance an integration end keeps from a van Hove frequency of an
+    # evaluator factor of dimension d: twice the snap zone, inside which the
+    # evaluator returns its flagged divergence for d <= 2.  A d >= 3 factor
+    # is finite there and keeps none.
+    return 2.0 * VAN_HOVE_SNAP_TOL * max(1, d) if d <= 2 else 0.0
+
+
+# The closed-form chain factor has no snap zone: its clearance only keeps
+# 1 - x^2 positive at an end.
+_A1_CLEARANCE = 4.0 * np.finfo(float).eps
+
+
+def _ends(lo: float, hi: float, stops) -> list[tuple[float, float]]:
+    """The subintervals of [lo, hi] split at every frequency of ``stops``, a
+    list of (frequency, clearance) pairs.
+
+    An end keeps its clearance from every stop beyond it, not only from the
+    one it sits on; a subinterval that the clearances close is omitted.
+    Only exact duplicates merge, so every stop inside [lo, hi] is an end.
+    """
+    pts = sorted({lo, hi, *(s for s, _ in stops if lo < s < hi)})
+    out = []
+    for a, b in zip(pts, pts[1:]):
+        a = max([a] + [s + c for s, c in stops if s <= a])
+        b = min([b] + [s - c for s, c in stops if s >= b])
+        if a < b:
+            out.append((a, b))
     return out
-
-
-# Margin kept between quadrature subintervals and frequencies where a d = 2
-# density of states is singular; the omitted spectral mass is O(margin) for
-# its finite or logarithmic behaviour there, far below the tested tolerances.
-_SING_MARGIN = 1e-9
-
-# For d = 1 a band integral runs in x = sin(theta); theta stays this far from
-# +-pi/2, where the theta resolution of x is quadratic, so that x stays
-# outside the snap zone of the band edges.
-_THETA_MARGIN = 8e-7
 
 
 def _dos_grid(d: int, x, cfg: QuadratureConfig) -> np.ndarray:
@@ -170,47 +200,37 @@ def _inner(cfg: QuadratureConfig) -> QuadratureConfig:
 
 def _band_integral(
     d: int, h, cfg: QuadratureConfig | None = None, lo: float | None = None,
-    hi: float | None = None, cuts=(), singular_cuts: bool = False,
+    hi: float | None = None, cuts=(), cut_d: int | None = None,
 ) -> complex:
     """The integral of A_d(x) h(x) over [lo, hi], the band by default, with
     A_d from the evaluator's own sweep.
 
     ``h`` maps an array of frequencies to its values.  The range is split at
-    the van Hove frequencies of d and at ``cuts``, where h may have kinks.
-    A breakpoint keeps ``_SING_MARGIN`` only where a factor is singular: at
-    a van Hove frequency of d = 2 or, with ``singular_cuts``, at a cut.  For
-    d = 1 the integral runs in x = sin(theta), which removes the
-    inverse-square-root edges of A_1.
+    the van Hove frequencies of d and at ``cuts``, the van Hove frequencies
+    of a factor of dimension ``cut_d`` inside h.  An end keeps the
+    ``_clearance`` of each factor from its singular frequencies and none
+    elsewhere.  For d = 1 the integral runs in x = sin(theta), which removes
+    the inverse-square-root edges of A_1.
     """
     d = check_dimension(d)
     cfg = cfg or QuadratureConfig.fast()
     inner = _inner(cfg)
     lo = -float(d) if lo is None else lo
     hi = float(d) if hi is None else hi
-    van_hove = _van_hove_points(d)
-    singular = (van_hove if d == 2 else []) + (list(cuts) if singular_cuts else [])
-
-    def margin(p):
-        return _SING_MARGIN if any(abs(p - s) <= 2.0 * _SING_MARGIN for s in singular) else 0.0
+    stops = [(v, _clearance(d)) for v in _van_hove_points(d)]
+    ends = _ends(lo, hi, stops + [(c, _clearance(cut_d)) for c in cuts])
 
     def in_x(x):
         return _dos_grid(d, x, inner) * h(x)
 
-    pts = _breakpoints(lo, hi, van_hove + list(cuts))
-    ends = np.array([(a + margin(a), b - margin(b)) for a, b in zip(pts, pts[1:])])
     g = in_x
     if d == 1:
-        top = 0.5 * math.pi - _THETA_MARGIN
-        ends = np.clip(np.arcsin(ends), -top, top)
+        ends = np.arcsin(ends).tolist()
 
         def g(th):  # A_1(x) dx = A_1(sin(theta)) cos(theta) d(theta)
             return in_x(np.sin(th)) * np.cos(th)
 
-    total = 0.0 + 0.0j
-    for a, b in ends.tolist():
-        if a < b:  # a subinterval inside the margins of its ends is omitted
-            total += integrate_finite(g, a, b, cfg).value
-    return total
+    return sum((integrate_finite(g, a, b, cfg).value for a, b in ends), 0j)
 
 
 def dos_convolution(
@@ -219,10 +239,10 @@ def dos_convolution(
     """A_{d1+d2}(omega) as the convolution integral of A_{d1} and A_{d2}.
 
     A 1d factor is integrated in the variable x = sin(theta), where its
-    closed form A_1(x) dx = d(theta)/pi is exact; remaining interior van
-    Hove points of the other factor become subinterval endpoints handled by
-    tanh-sinh.  Two factors with d >= 2 are one band integral of A_{d1}
-    against A_{d2}(omega - x), both from the evaluator.
+    closed form A_1(x) dx = d(theta)/pi is exact; the van Hove frequencies
+    of the other factor split the range, and the ends from ``_ends`` are
+    mapped to theta.  Two factors with d >= 2 are one band integral of
+    A_{d1} against A_{d2}(omega - x), both from the evaluator.
     """
     d1, d2 = check_dimension(d1), check_dimension(d2)
     cfg = cfg or QuadratureConfig.fast()
@@ -237,42 +257,21 @@ def dos_convolution(
 
     if d1 >= 2:
         return _band_integral(
-            d1, lambda x: _dos_grid(d2, omega - x, inner), cfg, lo, hi, cuts,
-            singular_cuts=d2 == 2,
+            d1, lambda x: _dos_grid(d2, omega - x, inner), cfg, lo, hi, cuts, d2
         ).real
 
-    def a2(x):
-        if d2 == 1:
-            return np.asarray([_a1(v) for v in np.atleast_1d(x)])
-        return _dos_grid(d2, x, inner)
+    # x = sin(theta), where A_1(x) dx = d(theta)/pi; a chain second factor
+    # is its closed form too
+    if d2 == 1:
+        a2, clear = _a1, _A1_CLEARANCE
+    else:
+        a2, clear = (lambda y: _dos_grid(d2, y, inner)), _clearance(d2)
 
-    # x = sin(theta); A_1(x) dx = d(theta)/pi.  Outer edges only need a
-    # margin when a singular frequency of the other factor sits on them.
-    # A closed-form second factor has no van Hove snap zone, so the
-    # clearance only needs to prevent an exact singular evaluation; its
-    # inverse-square-root cuts would otherwise lose ~sqrt(margin) mass
-    cut_margin = 1e-13 if d2 == 1 else _SING_MARGIN
+    def g(th):
+        return a2(omega - np.sin(th)) / math.pi
 
-    def edge_margin_theta(edge):
-        if not any(abs(c - edge) <= 1e-6 for c in cuts):
-            return 0.0
-        # at |x| = 1 the theta resolution of x is quadratic, so a larger
-        # clearance is needed to stay out of the snap zone
-        return _THETA_MARGIN if abs(edge) >= 1.0 - 1e-6 else 2.0 * cut_margin
-
-    tlo, thi = math.asin(lo) + edge_margin_theta(lo), math.asin(hi) - edge_margin_theta(hi)
-    tcuts = [math.asin(c) for c in cuts if lo < c < hi]
-    pts = _breakpoints(tlo, thi, tcuts)
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        ma = cut_margin if a not in (tlo, thi) else 0.0
-        mb = cut_margin if b not in (tlo, thi) else 0.0
-        r = integrate_finite(
-            lambda th: a2(omega - np.sin(th)) / math.pi,
-            a + ma, b - mb, cfg,
-        )
-        total += r.value.real
-    return total
+    ends = np.arcsin(_ends(lo, hi, [(c, clear) for c in cuts])).tolist()
+    return sum((integrate_finite(g, a, b, cfg).value.real for a, b in ends), 0.0)
 
 
 def dos_normalization(d: int, cfg: QuadratureConfig | None = None) -> float:
@@ -282,6 +281,7 @@ def dos_normalization(d: int, cfg: QuadratureConfig | None = None) -> float:
 
 def dos_moment(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
     """Numerical even moment integral of omega^{2k} against A_d."""
+    k = _check_count("k", k, 0)
     return _band_integral(d, lambda x: x ** (2 * k), cfg).real
 
 
@@ -294,10 +294,8 @@ def bz_bruteforce(d: int, omega: float, eta: float, n: int) -> complex:
     d = check_dimension(d)
     if d > 3:
         raise DomainError("brute force supported for d in {1, 2, 3} only")
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 64:
-        raise DomainError(f"need an integer of at least 64 grid points per axis, got {n!r}")
-    if not eta > 0.0:
-        raise DomainError("eta must be positive")
+    n = _check_count("n", n, 64)
+    _check_positive("eta", eta)
     k = (np.arange(n) + 0.5) * (math.pi / n)
     c = np.cos(k)
     z = complex(omega, eta)
@@ -316,6 +314,7 @@ def lorentz_broadened(
 ) -> complex:
     """G_d(omega + i*eta) from the method's own DOS via the spectral
     representation; the comparison target for bz_bruteforce."""
+    _check_positive("eta", eta)
     z = complex(omega, eta)
     return _band_integral(d, lambda x: 1.0 / (z - x), cfg)
 
@@ -328,6 +327,8 @@ def bessel_j_fourier(
     Accuracy is limited to a few digits by the oscillations; the absolute
     tail bound |J0(t)|^d <= (2/(pi t))^{d/2} must fall below tol at tmax."""
     d = check_dimension(d)
+    n = _check_count("n", n, 1)
+    _check_positive("tmax", tmax)
     if d < 3:
         raise TruncationTooCoarseError(
             "the |J0|^d tail bound is not integrable for d < 3"

@@ -201,19 +201,34 @@ _BAD_INPUTS = {
     "normalization-zero": (dos_normalization, (0,)),
     "normalization-float": (dos_normalization, (2.0,)),
     "moment-bool": (dos_moment, (True, 1)),
+    "moment-negative-k": (dos_moment, (3, -1)),
+    "moment-float-k": (dos_moment, (3, 1.5)),
+    "moment-bool-k": (dos_moment, (3, True)),
     "lorentz-zero": (lorentz_broadened, (0, 0.5, 0.1)),
+    "lorentz-zero-eta": (lorentz_broadened, (3, 0.5, 0.0)),
+    "lorentz-negative-eta": (lorentz_broadened, (3, 0.5, -0.1)),
+    "lorentz-inf-eta": (lorentz_broadened, (3, 0.5, math.inf)),
+    "laurent-bound-inside-band": (laurent_truncation_bound, (3, 2.0, 5)),
+    "laurent-bound-band-edge": (laurent_truncation_bound, (3, -3.0, 5)),
     "bz-bool": (bz_bruteforce, (True, 3.0, 1e-3, 128)),
     "bz-float": (bz_bruteforce, (2.0, 0.3, 0.1, 128)),
     "bz-float-n": (bz_bruteforce, (2, 0.3, 0.1, 128.0)),
     "bz-bool-n": (bz_bruteforce, (2, 0.3, 0.1, True)),
     "fourier-float": (bessel_j_fourier, (3.5, 0.0, 1e4, 20000, 1.0)),
     "fourier-bool": (bessel_j_fourier, (True, 0.0, 1e4, 20000, 1.0)),
+    "fourier-float-n": (bessel_j_fourier, (3, 0.0, 1.2e5, 200000.5, 1.0)),
+    "fourier-bool-n": (bessel_j_fourier, (3, 0.0, 1.2e5, True, 1.0)),
+    "fourier-negative-tmax": (bessel_j_fourier, (3, 0.0, -1.0, 20000, 1.0)),
+    "fourier-inf-tmax": (bessel_j_fourier, (3, 0.0, math.inf, 20000, 1.0)),
+    "fourier-nan-tmax": (bessel_j_fourier, (3, 0.0, math.nan, 20000, 1.0)),
 }
 
 
 @pytest.mark.parametrize("oracle, args", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_every_oracle_checks_its_dimension(oracle, args):
-    # one input rule, coefficients.check_dimension, in every oracle taking d
+    # one input rule, coefficients.check_dimension, in every oracle taking d,
+    # and a DomainError for every other argument out of its domain rather
+    # than a TypeError or a wrong number
     with pytest.raises(DomainError):
         oracle(*args)
 
@@ -239,14 +254,63 @@ def test_doubling_keeps_margins_at_singular_frequencies(d1, d2, w):
 
 @pytest.mark.parametrize("w", [0.0, 1e-10])
 def test_doubling_with_cuts_closer_than_a_margin(w):
-    # at 1e-10 the cuts of one d = 2 factor sit inside the margins of the
-    # other's singular frequencies: the subinterval between them is omitted
+    # at 0 the cuts of one d = 2 factor fall on the other's singular
+    # frequencies; at 1e-10 they sit beside them, outside the clearances of
+    # 4e-13, so the subinterval between them is integrated
     assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 2e-8
+
+
+@pytest.mark.parametrize("w", [1e-13, 3e-13, 5e-13, 1e-12])
+def test_doubling_with_cuts_inside_the_clearance(w):
+    # each cut of one d = 2 factor lies within 4e-13 of a singular frequency
+    # of the other: an end clears both, and at 3e-13 and 5e-13 a cut is no
+    # longer hidden by merging it into the breakpoint beside it
+    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 1e-10
+
+
+@pytest.mark.parametrize("d1, d2, w", [
+    (2, 3, 1 + 1e-13), (2, 3, 1 - 1e-13), (3, 2, 1 + 1e-13), (2, 4, 2 + 1e-13),
+])
+def test_regular_cut_clears_the_singular_frequency_beside_it(d1, d2, w):
+    # a cut of the d >= 3 factor needs no clearance of its own, but as an end
+    # it sits 1e-13 from a singular frequency of the d = 2 factor, inside
+    # that factor's snap zone, and must keep that frequency's clearance
+    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-11
+
+
+@pytest.mark.parametrize("w", [4e-13, 1e-10, 1e-8])
+def test_chain_plus_square_near_the_band_edge(w):
+    # the cut at x = 1 - w is a singular frequency of the d = 2 factor; its
+    # clearance is kept in x, so no end falls into the snap zone
+    got = dos_convolution(1, 2, 1.0 - w)
+    assert math.isfinite(got)
+    if w >= 1e-10:
+        assert abs(got - dos(3, 1.0 - w)) <= 1e-7
+
+
+def test_two_chains_at_small_frequency():
+    # the two inverse-square-root cuts are 2e-6 apart; the closed form keeps
+    # a clearance of a few ulps from each
+    assert dos_convolution(1, 1, 1e-6) == pytest.approx(dos(2, 1e-6), rel=1e-5)
+
+
+def test_square_band_integrals_reach_the_clearance():
+    # the d = 2 band integral omits only twice the snap zone at each van
+    # Hove frequency
+    assert abs(dos_normalization(2) - 1.0) <= 1e-11
+    assert abs(dos_moment(2, 1) - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("w", [0.3, 1.7, -0.9, 0.0])
+def test_lorentz_broadened_square_against_converged_brute_force(w):
+    # 1,000 points per axis converge the d = 2 brute force to about 2e-16
+    ref = bz_bruteforce(2, w, 0.05, 1000)
+    assert abs(lorentz_broadened(2, w, 0.05) - ref) <= 1e-10
 
 
 @pytest.mark.parametrize("w", [0.3, 1.7, -0.9])
 def test_lorentz_broadened_chain_against_converged_brute_force(w):
     # the d = 1 band integral runs in x = sin(theta), so the
-    # inverse-square-root edges cost no margin in x
+    # inverse-square-root edges cost only their 2e-13 clearance in x
     ref = bz_bruteforce(1, w, 0.05, 200_000)
     assert abs(lorentz_broadened(1, w, 0.05) - ref) <= 5e-6
