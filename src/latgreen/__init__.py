@@ -6,14 +6,14 @@ dimension, together with the density of states and a battery of
 verification oracles (see ``latgreen.oracles`` for which are independent).
 """
 from .bessel import BesselPair, bessel_i0, bessel_k0, bessel_scaled
-from .coefficients import CoefficientTable, PhasedInteger, coefficient_table, staircase_j
+from .coefficients import coefficient_table, staircase_j
 from .errors import (
     BesselOverflowError,
     DomainError,
     TruncationTooCoarseError,
 )
 from .green import GreenResult, dos, green_local, green_sweep
-from .integrand import IntegrandSpec, TermSpec, build_integrand, eval_integrand, tail_class
+from .integrand import IntegrandSpec, build_integrand, eval_integrand, tail_class
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -26,12 +26,9 @@ __all__ = [
     "bessel_i0",
     "bessel_k0",
     "bessel_scaled",
-    "CoefficientTable",
-    "PhasedInteger",
     "coefficient_table",
     "staircase_j",
     "IntegrandSpec",
-    "TermSpec",
     "build_integrand",
     "eval_integrand",
     "tail_class",

@@ -1,67 +1,30 @@
-"""Staircase index and exact coefficient tables of the piecewise formula.
+"""Staircase index and the exact coefficients of the piecewise formula.
 
-The two coefficient families weighting the products K^{d-m} I^m are
+Piece j of G_d weights K^{d-m} I^m e^{-omega tau} with C_jm and
+K^{d-m} I^m e^{+omega tau} with -D_jm, where
 
     C_jm = sum_{n=m}^{j}     binom(d,n) binom(n,m) i^{2n-d-m}
-    D_jm = sum_{n=m}^{d-j-1} binom(d,n) binom(n,m) i^{d+m-2n}
+    D_jm = sum_{n=m}^{d-j-1} binom(d,n) binom(n,m) i^{d+m-2n}.
 
-Because i^{2n-d-m} = (-1)^n i^{-(d+m)} (and the mirror identity for D), each
-coefficient is an exact integer magnitude times a quarter-turn phase; the
-tables below store exactly that, in arbitrary-precision integer arithmetic,
-so no floating-point cancellation can ever occur.
+Since i^{2n} = (-1)^n, each is a quarter turn times the alternating sum
+
+    sum_{n=m}^{N} (-1)^n binom(d,n) binom(n,m) = (-1)^N binom(d,m) binom(d-m-1, N-m)
+
+(m < d; the m = d sum is its one n = d term), which ``coefficient_table``
+turns into one exact signed integer weight per term.  No floating-point
+cancellation occurs in forming them; as floats, the weights of every piece
+of d <= 652 fit the double range (see ``integrand.term_weights``).
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "PhasedInteger", "CoefficientTable", "check_dimension", "staircase_j", "staircase_js",
-    "coefficient_table",
-]
-
-
-@dataclass(frozen=True)
-class PhasedInteger:
-    """A signed arbitrary-precision integer times i**phase, phase in {0,..,3}.
-
-    The canonical form keeps the (possibly negative) magnitude as the signed
-    alternating sum and reduces the phase mod 4; ``complex_value`` applies the
-    quarter turn exactly.
-    """
-
-    magnitude: int
-    phase: int
-
-    def __post_init__(self):
-        if self.phase not in (0, 1, 2, 3):
-            raise ValueError(f"phase must be reduced mod 4, got {self.phase}")
-
-    @property
-    def complex_value(self) -> complex:
-        m = self.magnitude
-        return (complex(m, 0), complex(0, m), complex(-m, 0), complex(0, -m))[self.phase]
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Exact C and D coefficients for one (d, j) piece.
-
-    ``c[m]`` for m = 0..j weights the e^{-omega tau} sum, ``dcoef[m]`` for
-    m = 0..d-j-1 the e^{+omega tau} sum; either tuple is empty when its sum
-    is absent (j = -1 or j = d).
-    """
-
-    d: int
-    j: int
-    c: tuple[PhasedInteger, ...]
-    dcoef: tuple[PhasedInteger, ...]
+__all__ = ["check_dimension", "staircase_j", "staircase_js", "coefficient_table"]
 
 
 def check_dimension(d) -> int:
@@ -95,31 +58,34 @@ def staircase_j(d: int, omega: float) -> int:
     return int(staircase_js(d, [float(omega)])[0])
 
 
-def _alternating_sum(d: int, m: int, n_hi: int) -> int:
-    # sum_{n=m}^{n_hi} (-1)^n binom(d,n) binom(n,m)
-    #   = (-1)^{n_hi} binom(d,m) binom(d-m-1, n_hi-m)   for m < d;
-    # the only m = d term is n = d, where binom(-1, 0) = 1 is outside math.comb
-    if m == d:
-        return (-1) ** d
-    magnitude = math.comb(d, m) * math.comb(d - m - 1, n_hi - m)
-    return -magnitude if n_hi & 1 else magnitude
+def coefficient_table(d: int, j: int) -> tuple[int, ...]:
+    """The exact signed weight w of every term of piece j of dimension d:
+    C_jm = w[m] i^{(d+m) mod 2} and D_jm = -w[d+1+m] i^{(d+m) mod 2}, so
+    each term is w times i^{(d+m) mod 2} times its product, real when d+m
+    is even and imaginary when it is odd.
 
+    The 2(d+1) slots run in the order of ``integrand.term_exponents``: C
+    m = 0..d, then D m = 0..d.  By the alternating sum above,
 
-# typed: True, and a numpy integer j, equal to a cached int must still reach
-# the validation below instead of hitting the cache; bounded like term_weights,
-# since every piece for d <= 120 is 7,500 exact tables
-@functools.lru_cache(maxsize=1024, typed=True)
-def coefficient_table(d: int, j: int) -> CoefficientTable:
-    """Exact coefficient table for piece j of dimension d, cached by (d, j)."""
+        w[m]       = (-1)^{j + ceil((d+m)/2)}  binom(d,m) binom(d-m-1, j-m)
+        w[d+1+m]   = (-1)^{d-j + floor((d+m)/2)} binom(d,m) binom(d-m-1, d-j-1-m)
+
+    for m < d, w[d] = 1 when j = d and w[2d+1] = -1 when j = -1.  Every
+    other weight is 0: binom is 0 where its lower index exceeds the upper,
+    so outside the band (j = -1 or j = d) only the m = d weight is nonzero,
+    and inside it the d+1 weights C m = 0..j, D m = 0..d-j-1 are.
+    """
     d = check_dimension(d)
     if not isinstance(j, int) or isinstance(j, bool) or not -1 <= j <= d:
         raise DomainError(f"j must lie in [-1, {d}], got {j!r}")
-    c = tuple(
-        PhasedInteger(_alternating_sum(d, m, j), (-(d + m)) % 4)
-        for m in range(j + 1)
-    )
-    dcoef = tuple(
-        PhasedInteger(_alternating_sum(d, m, d - j - 1), (d + m) % 4)
-        for m in range(d - j)
-    )
-    return CoefficientTable(d=d, j=j, c=c, dcoef=dcoef)
+    w = [0] * (2 * d + 2)
+    for m in range(min(j, d - 1) + 1):
+        w[m] = (-1) ** (j + (d + m + 1) // 2) * math.comb(d, m) * math.comb(d - m - 1, j - m)
+    for m in range(min(d - j - 1, d - 1) + 1):
+        w[d + 1 + m] = ((-1) ** (d - j + (d + m) // 2) * math.comb(d, m)
+                        * math.comb(d - m - 1, d - j - 1 - m))
+    if j == d:
+        w[d] = 1
+    if j == -1:
+        w[2 * d + 1] = -1
+    return tuple(w)

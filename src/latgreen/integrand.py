@@ -18,13 +18,14 @@ overflows at exactly the same nodes.  Such a term shows as a non-finite
 value, and the quadrature flags the result.  Outside the band the one
 term left, ibar^d e^{q tau}, stays finite at any d.
 
-Only q depends on omega, and a term's phase depends only on (d, m) and its
-family, never on the piece j.  The Bessel pair is a ``BesselPair`` of
-arrays built once per set of nodes; ``term_weights`` is the float weight
-vector of piece j over the slots of ``term_exponents``, which run in the
-formula's order; ``eval_terms`` evaluates any frequencies, of one piece or
-of many, as one term-major (frequencies x nodes) block, and reads the terms
-of every block from its weights: a term is formed on the rows whose weight
+Only q depends on omega.  The weights w are the exact coefficients of
+``coefficients.coefficient_table`` as floats (``term_weights``); every
+piece of d <= 652 can be formed, and from d = 653 on ``term_weights``
+raises ``DomainError`` for a band piece whose weights leave the double
+range.  The Bessel pair is a ``BesselPair`` of arrays built once per set
+of nodes; ``eval_terms`` evaluates any frequencies, of one piece or of
+many, as one term-major (frequencies x nodes) block, and reads the terms of
+every block from its weights: a term is formed on the rows whose weight
 for it is nonzero.
 
 Inside the band (0 <= j <= d-1) all d+1 terms of a piece have a nonzero
@@ -49,10 +50,10 @@ from enum import Enum
 import numpy as np
 
 from .bessel import BesselPair, i0e, k0e
-from .coefficients import PhasedInteger, check_dimension, coefficient_table, staircase_j
+from .coefficients import check_dimension, coefficient_table, staircase_j
+from .errors import DomainError
 
 __all__ = [
-    "TermSpec",
     "IntegrandSpec",
     "TailKind",
     "TailClass",
@@ -78,24 +79,22 @@ VAN_HOVE_SNAP_TOL = 1e-13
 _QTAU_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TermSpec:
-    """One kbar^{d-m} ibar^m e^{exponent*tau} term of the assembled integrand."""
-
-    m: int
-    coeff: PhasedInteger
-    sign: int
-    exponent: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrandSpec:
-    """Fully assembled integrand for one (d, omega) evaluation."""
+    """The integrand of one (d, omega): the piece j, and the weight
+    (``term_weights``) and net exponent (``term_exponents``) of every slot,
+    both read-only arrays."""
 
     d: int
     omega: float
     j: int
-    terms: tuple[TermSpec, ...]
+    weights: np.ndarray
+    exponents: np.ndarray
+
+    @property
+    def terms(self) -> tuple[int, ...]:
+        """The slots with a nonzero weight: the terms the piece forms."""
+        return tuple(np.flatnonzero(self.weights).tolist())
 
 
 class TailKind(Enum):
@@ -128,35 +127,33 @@ def term_exponents(d: int, omegas) -> np.ndarray:
 
 
 def build_integrand(d: int, omega: float) -> IntegrandSpec:
-    """Assemble all d+1 terms of the piecewise formula for (d, omega)."""
+    """Assemble the integrand of the piecewise formula for (d, omega)."""
     d, omega = check_dimension(d), float(omega)
     j = staircase_j(d, omega)  # validates omega
-    table = coefficient_table(d, j)
-    q = term_exponents(d, [omega])[0].tolist()
-    terms = [TermSpec(m=m, coeff=coeff, sign=+1, exponent=q[m])
-             for m, coeff in enumerate(table.c)]
-    terms += [TermSpec(m=m, coeff=coeff, sign=-1, exponent=q[d + 1 + m])
-              for m, coeff in enumerate(table.dcoef)]
-    return IntegrandSpec(d=d, omega=omega, j=j, terms=tuple(terms))
+    exponents = term_exponents(d, [omega])[0]
+    exponents.flags.writeable = False
+    return IntegrandSpec(d=d, omega=omega, j=j, weights=term_weights(d, j),
+                         exponents=exponents)
 
 
-@functools.lru_cache(maxsize=1024)
+# typed: True, and a numpy integer j, equal to a cached int must still reach
+# coefficient_table's validation instead of hitting the cache
+@functools.lru_cache(maxsize=1024, typed=True)
 def term_weights(d: int, j: int) -> np.ndarray:
-    """The float weight of every slot (see ``term_exponents``) of piece j
-    of dimension d, cached by (d, j) and read-only.
+    """``coefficient_table(d, j)`` as floats, cached by (d, j) and read-only;
+    its nonzero weights are exactly the terms piece j has.
 
-    A weight is the term's sign times its coefficient magnitude, negated
-    for the phases 2 and 3, and 0.0 in a slot that piece j lacks or whose
-    coefficient is zero; so the nonzero weights are exactly the terms the
-    piece has.  The term of slot k adds to the imaginary part when d+m is
-    odd: both families carry the phase -(d+m) or d+m mod 4.
+    A weight beyond the double range raises ``DomainError``: every piece of
+    d <= 652 can be formed, and the first that cannot is j = 209 of d = 653
+    (at d = 1,000, the pieces j = 4..995).
     """
     table = coefficient_table(d, j)
-    weights = np.zeros(2 * d + 2)
-    for m, coeff in enumerate(table.c):
-        weights[m] = float(-coeff.magnitude if coeff.phase >= 2 else coeff.magnitude)
-    for m, coeff in enumerate(table.dcoef):
-        weights[d + 1 + m] = float(coeff.magnitude if coeff.phase >= 2 else -coeff.magnitude)
+    try:
+        weights = np.array(table, dtype=float)
+    except OverflowError:
+        raise DomainError(
+            f"piece j = {j} of d = {d} has a coefficient beyond the double range; "
+            "every piece of d <= 652 can be formed") from None
     weights.flags.writeable = False
     return weights
 
@@ -174,8 +171,8 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     Row r is a frequency with the slot exponents ``exponents[r]`` (see
     ``term_exponents``) and weights ``weights[r]`` (``term_weights`` of its
     piece), the rows ordered by piece.  Returns the complex (rows x nodes)
-    block ``(1/2^d) * sum_terms sign * coeff * kbar^{d-m} ibar^m
-    e^{exponent*tau}``, with 1/2^d applied last (see the module docstring).
+    block ``(1/2^d) * sum_k w_k i^{(d+m) mod 2} kbar^{d-m} ibar^m
+    e^{exponent_k*tau}``, with 1/2^d applied last (see the module docstring).
 
     The weights pick the terms: the block forms the slots that are nonzero
     in some row, in slot order, which is the formula's order, and each term
@@ -233,14 +230,13 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
 def eval_integrand(spec: IntegrandSpec, tau):
     """Evaluate the integrand at tau (> 0, scalar or ndarray).
 
-    Returns ``(1/2^d) * sum_terms sign * coeff * kbar^{d-m} ibar^m
-    e^{exponent*tau}`` for the (d, omega) of ``spec`` as a complex scalar or
+    Returns ``(1/2^d) * sum_k w_k i^{(d+m) mod 2} kbar^{d-m} ibar^m
+    e^{exponent_k*tau}`` for the (d, omega) of ``spec`` as a complex scalar or
     a complex ndarray of tau's shape; a one-row call of ``eval_terms``.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    exponents = term_exponents(spec.d, [spec.omega])
-    out = eval_terms(spec.d, exponents, bessel_table(tau_arr.ravel()),
-                     term_weights(spec.d, spec.j)[None])[0]
+    out = eval_terms(spec.d, spec.exponents[None], bessel_table(tau_arr.ravel()),
+                     spec.weights[None])[0]
     return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 
 
@@ -251,7 +247,7 @@ def tail_class(spec: IntegrandSpec) -> TailClass:
     rate; a zero exponent leaves the kbar*ibar power-law tau^{-d/2} tail,
     which is integrable only for d >= 3.
     """
-    max_exp = max(t.exponent for t in spec.terms)
+    max_exp = float(spec.exponents[list(spec.terms)].max())
     if max_exp < 0.0:
         return TailClass(TailKind.EXPONENTIAL, -max_exp)
     if spec.d >= 3:

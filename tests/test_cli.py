@@ -145,6 +145,8 @@ def test_malformed_flags_exit_one(capsys):
     ["sweep", "--d", "1", "--omega-min", "0", "--omega-max", "1", "--steps", "1"],
     ["sweep", "--d", "1", "--omega-min", "0", "--omega-max", "0.5", "--steps", "2",
      "--out", "/nonexistent-dir/x.csv"],
+    # a piece whose weights leave the double range
+    ["eval", "--d", "1000", "--omega", "0"],
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess

@@ -185,6 +185,35 @@ def test_head_and_tail_keep_their_own_stops(monkeypatch, d, omega, head, tail):
     assert res.evaluations == head + tail
 
 
+def test_piece_beyond_the_double_range_raises_domain_error():
+    # piece 209 is the first of d = 653 whose weights cannot be formed;
+    # the band centre of d = 653 and the outside of d = 690 can
+    with pytest.raises(DomainError, match="d <= 652"):
+        green_local(653, -234.0)
+    res = green_local(653, 0.0)
+    assert not res.converged
+    assert green_local(690, 1380.0).converged
+
+
+def test_every_dimension_returns_a_flagged_value_or_raises_domain_error():
+    # at the band centre, mid-band and outside it, a call either returns a
+    # result, whose value is finite or flagged, or raises DomainError,
+    # across the limit d <= 652 of the weights; outside the band every d
+    # converges
+    raised = set()
+    for d in (1, 7, 8, 120, 652, 653, 1000):
+        for omega in (0.0, d / 2 + 0.3, d + 1.5):
+            try:
+                res = green_local(d, omega)
+            except DomainError:
+                raised.add((d, omega))
+                continue
+            assert isinstance(res, GreenResult) and (res.d, res.omega) == (d, omega)
+            assert math.isfinite(abs(res.value)) or not res.converged
+            assert res.converged or omega < d
+    assert raised == {(1000, 0.0), (1000, 500.3)}
+
+
 @pytest.mark.parametrize("d", [0, -3, 2.0, True])
 def test_sweep_validates_dimension_on_empty_grid(d):
     with pytest.raises(DomainError):

@@ -24,19 +24,26 @@ from latgreen.quadrature import half_line_nodes
 
 def _mpmath_reference_and_scale(d, omega, tau, dps=50):
     """Recompute the assembled integrand with mpmath Bessel functions and
-    exact complex coefficient arithmetic, independent of the scaled-pair
-    evaluation path, and the L1 sum of its terms (see ``_l1_scale``)."""
+    the exact weights of ``coefficient_table``, independent of the
+    scaled-pair evaluation path, and the L1 sum of its terms (see
+    ``_l1_scale``)."""
     with mp.workdps(dps):
         tau_mp = mp.mpf(tau)
         K = 2 / mp.pi * mp.besselk(0, tau_mp)
         I = 2 * mp.besseli(0, tau_mp)
-        table = coefficient_table(d, build_integrand(d, omega).j)
-        terms = [mp.mpc(coeff.complex_value) * K ** (d - m) * I**m
-                 * mp.e ** (-mp.mpf(omega) * tau_mp) for m, coeff in enumerate(table.c)]
-        terms += [-mp.mpc(coeff.complex_value) * K ** (d - m) * I**m
-                  * mp.e ** (mp.mpf(omega) * tau_mp) for m, coeff in enumerate(table.dcoef)]
+        w = coefficient_table(d, build_integrand(d, omega).j)
+        terms = []
+        for k, (m, sign) in enumerate(_slots(d)):
+            coeff = mp.mpc(0, w[k]) if (d + m) % 2 else mp.mpc(w[k])
+            terms.append(coeff * K ** (d - m) * I**m * mp.e ** (-sign * mp.mpf(omega) * tau_mp))
         scale = mp.mpf(2) ** -d
         return complex(mp.fsum(terms) * scale), float(mp.fsum(map(abs, terms)) * scale)
+
+
+def _slots(d):
+    # (m, s) of every slot, whose term weighs e^{-s omega tau}: the C terms
+    # m = 0..d (s = 1), then the D terms m = 0..d (s = -1)
+    return [(m, 1) for m in range(d + 1)] + [(m, -1) for m in range(d + 1)]
 
 
 def _mpmath_reference(d, omega, tau, dps=50):
@@ -45,13 +52,12 @@ def _mpmath_reference(d, omega, tau, dps=50):
 
 def _l1_scale(d, omega, tau):
     # magnitude scale of the individual terms, bounding achievable accuracy
-    spec = build_integrand(d, omega)
+    w = coefficient_table(d, build_integrand(d, omega).j)
     K = 2.0 / math.pi * bessel_k0(tau)
     I = 2.0 * bessel_i0(tau)
     return sum(
-        abs(t.coeff.magnitude) * K ** (d - t.m) * I**t.m
-        * math.exp(-t.sign * omega * tau)
-        for t in spec.terms
+        abs(w[k]) * K ** (d - m) * I**m * math.exp(-sign * omega * tau)
+        for k, (m, sign) in enumerate(_slots(d))
     ) / 2.0**d
 
 
@@ -113,19 +119,18 @@ def test_chain_band_centre_reduction():
 
 def test_exponent_bookkeeping():
     spec = build_integrand(4, 1.3)
-    for t in spec.terms:
-        expected = 2 * t.m - 4 - 1.3 if t.sign == 1 else 2 * t.m - 4 + 1.3
-        assert t.exponent == expected
-        assert t.exponent < 0.0
+    for k, (m, sign) in enumerate(_slots(4)):
+        assert spec.exponents[k] == 2 * m - 4 - sign * 1.3
+    assert all(spec.exponents[k] < 0.0 for k in spec.terms)
     assert spec.j == 2
     assert len(spec.terms) == 5
 
 
 def test_van_hove_snapping():
     spec = build_integrand(3, 1.0 + 5e-14)
-    assert any(t.exponent == 0.0 for t in spec.terms)
+    assert any(spec.exponents[k] == 0.0 for k in spec.terms)
     spec = build_integrand(3, 1.0 + 1e-9)
-    assert all(t.exponent != 0.0 for t in spec.terms)
+    assert all(spec.exponents[k] != 0.0 for k in spec.terms)
     assert VAN_HOVE_SNAP_TOL == 1e-13
 
 
@@ -175,35 +180,29 @@ def test_domain_errors():
 
 
 def _per_piece_reference(specs, table):
-    """The frequencies of one piece as a block, term by term from their
-    ``TermSpec``s: the piece-at-a-time evaluator that ``eval_terms``
-    replaced, kept as the bitwise reference for it.  A term with a zero
-    coefficient adds exactly 0 and is skipped: formed, it would turn an
-    overflowed power into 0 * inf = NaN (outside the band at d = 120)."""
+    """The frequencies of one piece as a block, term by term from the exact
+    weights of their piece: the piece-at-a-time evaluator that
+    ``eval_terms`` replaced, kept as the bitwise reference for it.  A term
+    with a zero weight adds exactly 0 and is skipped: formed, it would turn
+    an overflowed power into 0 * inf = NaN (outside the band at d = 120)."""
     spec, d, tau = specs[0], specs[0].d, table.tau
-    exponents = np.array([[t.exponent for t in s.terms] for s in specs])
+    exponents = np.array([s.exponents for s in specs])
     re = np.zeros((len(specs), tau.size))
     im = np.zeros_like(re)
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         qtau = exponents.T[:, :, None] * tau
-        for t, q in zip(spec.terms, qtau):
-            if t.coeff.magnitude == 0:
+        for (m, _), w, q in zip(_slots(d), coefficient_table(d, spec.j), qtau):
+            if w == 0:
                 continue
-            f = factors.get(t.m)
+            f = factors.get(m)
             if f is None:
-                f = factors[t.m] = table.kbar**(d - t.m) * table.ibar**t.m
+                f = factors[m] = table.kbar**(d - m) * table.ibar**m
             mag = f * np.exp(q)
-            w = t.sign * t.coeff.magnitude
-            phase = t.coeff.phase
-            if phase == 0:
-                re += w * mag
-            elif phase == 1:
+            if (d + m) % 2:
                 im += w * mag
-            elif phase == 2:
-                re -= w * mag
             else:
-                im -= w * mag
+                re += w * mag
         return (re + 1j * im) * 0.5**d
 
 
@@ -232,12 +231,6 @@ def test_mixed_block_is_bitwise_per_piece(d):
             assert got[rows].tobytes() == ref.tobytes()
 
 
-def _spec_slots(spec):
-    # the slot of each term of a spec, in the formula's order
-    d = spec.d
-    return [t.m if t.sign > 0 else d + 1 + t.m for t in spec.terms]
-
-
 def _piece_spec(d, j):
     spec = build_integrand(d, min(max(2 * j - d + 1.0, -d - 1.0), d + 1.0))
     assert spec.j == j
@@ -245,28 +238,49 @@ def _piece_spec(d, j):
 
 
 def test_term_weights_match_coefficients():
-    # the weight times the slot's part reproduces sign * coefficient
-    # exactly (as floats), for every piece, both families and every phase,
-    # zero coefficients included, and a slot the piece lacks weighs 0.0
+    # the float weight of every slot is the exact weight of coefficient_table,
+    # for every piece, both families and both parts, zero weights included,
+    # and a spec's terms are the slots with a nonzero weight, in slot order
     for d in (1, 2, 5, 40):
         for j in range(-1, d + 1):
             weights = term_weights(d, j)
+            exact = coefficient_table(d, j)
             assert weights.shape == (2 * d + 2,)
+            assert weights.tolist() == [float(w) for w in exact]
             spec = _piece_spec(d, j)
-            slots = _spec_slots(spec)
-            assert slots == sorted(slots)  # slot order is the formula's order
-            for t, k in zip(spec.terms, slots):
-                m = k if k <= d else k - d - 1
-                assert m == t.m
-                imag = (d + m) % 2 == 1
-                want = t.sign * t.coeff.complex_value
-                assert (complex(0.0, weights[k]) if imag else weights[k]) == want
-            assert all(weights[k] == 0.0 for k in set(range(2 * d + 2)) - set(slots))
+            assert spec.weights is weights
+            assert spec.terms == tuple(k for k, w in enumerate(exact) if w)
 
 
 def test_term_weights_are_cached_and_read_only():
     weights = term_weights(5, 2)
     assert term_weights(5, 2) is weights
+    assert term_weights.cache_info().maxsize == 1024
     assert not weights.flags.writeable
     with pytest.raises(ValueError):
         weights[0] = 1.0
+
+
+def test_term_weights_cache_is_typed():
+    # True and a numpy integer equal a cached int, but must still reach the
+    # validation of d and j instead of returning that int's weights
+    term_weights(1, 0)
+    with pytest.raises(DomainError):
+        term_weights(True, 0)
+    term_weights(3, 1)
+    with pytest.raises(DomainError):
+        term_weights(3, True)
+    with pytest.raises(DomainError):
+        term_weights(3, np.int64(1))
+
+
+def test_weights_beyond_the_double_range_raise_domain_error():
+    # the largest weight of d = 652 (piece 217) fits the double range;
+    # piece 209 of d = 653 is the first that does not
+    assert np.isfinite(term_weights(652, 217)).all()
+    assert np.isfinite(term_weights(653, 208)).all()
+    with pytest.raises(DomainError, match=r"j = 209 of d = 653 .* d <= 652"):
+        term_weights(653, 209)
+    # the one weight outside the band is +-1 at any d
+    assert term_weights(1000, 1000)[1000] == 1.0
+    assert term_weights(1000, -1)[2001] == -1.0

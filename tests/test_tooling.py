@@ -7,7 +7,9 @@ import os
 import sys
 from collections import Counter, defaultdict
 
-from latgreen import green_local, green_sweep
+import numpy as np
+
+from latgreen import build_integrand, green_local, green_sweep
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -22,6 +24,15 @@ def test_every_traced_name_resolves():
     missing = [(module.__name__, attr) for module, attr, _, _ in spans.targets()
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_eval_span_sizes_an_integrand():
+    # the span of an integrand evaluation reads its node and term counts
+    # from the spec; outside the band the piece has one term
+    taus = np.array([0.1, 1.0, 4.0])
+    assert spans._eval_nodes((build_integrand(4, 0.3), taus), None) == (taus.size, 5)
+    assert spans._eval_nodes((build_integrand(4, 9.0), taus), None) == (taus.size, 1)
+    assert spans._table((4, 2), None) == (1, "4,2")
 
 
 def _dump_records():
