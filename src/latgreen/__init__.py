@@ -21,6 +21,14 @@ from .quadrature import (
     integrate_semiinfinite,
 )
 
+# The verification oracles (and the fractions module they use) are loaded
+# on first use, so that evaluating G_d does not pay for them.
+_ORACLES = frozenset({
+    "MomentTable", "moments", "laurent_green", "laurent_truncation_bound",
+    "g1_closed_form", "dos_convolution", "dos_normalization", "dos_moment",
+    "bz_bruteforce", "lorentz_broadened", "bessel_j_fourier",
+})
+
 __all__ = [
     "BesselPair",
     "bessel_i0",
@@ -36,17 +44,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_finite",
     "integrate_semiinfinite",
-    "MomentTable",
-    "moments",
-    "laurent_green",
-    "laurent_truncation_bound",
-    "g1_closed_form",
-    "dos_convolution",
-    "dos_normalization",
-    "dos_moment",
-    "bz_bruteforce",
-    "lorentz_broadened",
-    "bessel_j_fourier",
     "GreenResult",
     "green_local",
     "green_sweep",
@@ -54,17 +51,10 @@ __all__ = [
     "DomainError",
     "BesselOverflowError",
     "TruncationTooCoarseError",
+    *sorted(_ORACLES),
 ]
 
 __version__ = "0.1.0"
-
-# The verification oracles (and the fractions and decimal modules they
-# use) are loaded on first use, so that evaluating G_d does not pay for them.
-_ORACLES = frozenset({
-    "MomentTable", "moments", "laurent_green", "laurent_truncation_bound",
-    "g1_closed_form", "dos_convolution", "dos_normalization", "dos_moment",
-    "bz_bruteforce", "lorentz_broadened", "bessel_j_fourier",
-})
 
 
 def __getattr__(name):

@@ -16,12 +16,11 @@ and is the form the integrand assembly consumes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BesselOverflowError, DomainError
+from .errors import BesselOverflowError, check_real
 
 __all__ = [
     "BesselPair",
@@ -196,20 +195,9 @@ def i0e(tau):
     return _scaled(tau, _I0_SERIES_MAX, lambda ts: np.exp(-ts) * _i0_series(ts), _I0E_CHEB)
 
 
-def _validate_tau(tau, *, allow_zero=False):
-    if not isinstance(tau, numbers.Real) or isinstance(tau, bool):
-        raise DomainError(f"tau must be a real number, got {tau!r}")
-    tau = float(tau)
-    if math.isnan(tau) or math.isinf(tau):
-        raise DomainError(f"tau must be finite, got {tau!r}")
-    if tau < 0.0 or (tau == 0.0 and not allow_zero):
-        raise DomainError(f"tau out of domain: {tau!r}")
-    return tau
-
-
 def bessel_k0(tau):
     """K0(tau) for tau > 0; underflows gracefully to 0 for very large tau."""
-    tau = _validate_tau(tau)
+    tau = check_real("tau", tau, 0.0, strict=True)
     if tau <= _K0_SERIES_MAX:
         return float(_k0_series(tau))
     scaled = float(k0e(tau))
@@ -222,7 +210,7 @@ def bessel_k0(tau):
 
 def bessel_i0(tau):
     """I0(tau) for tau >= 0; raises once exp(+tau) leaves the double range."""
-    tau = _validate_tau(tau, allow_zero=True)
+    tau = check_real("tau", tau, 0.0)
     if tau <= _I0_SERIES_MAX:
         return float(_i0_series(tau))
     scaled = float(i0e(tau))
@@ -244,6 +232,6 @@ def bessel_scaled(tau):
     ``kbar = exp(+tau)*(2/pi)*K0(tau)`` and ``ibar = exp(-tau)*2*I0(tau)``;
     both stay representable for every positive double ``tau``.
     """
-    tau = _validate_tau(tau)
+    tau = check_real("tau", tau, 0.0, strict=True)
     return BesselPair(kbar=(2.0 / math.pi) * float(k0e(tau)),
                       ibar=2.0 * float(i0e(tau)), tau=tau)

@@ -18,21 +18,12 @@ of d <= 652 fit the double range (see ``integrand.term_weights``).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
-__all__ = ["check_dimension", "staircase_j", "staircase_js", "coefficient_table"]
-
-
-def check_dimension(d) -> int:
-    """d as a Python int; raise DomainError unless d is a positive integer
-    (any ``numbers.Integral``, numpy's included, but not a bool)."""
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
-    return int(d)
+__all__ = ["staircase_j", "staircase_js", "coefficient_table"]
 
 
 def staircase_js(d: int, omegas) -> np.ndarray:
@@ -43,7 +34,7 @@ def staircase_js(d: int, omegas) -> np.ndarray:
     defining range; clamping puts all weight in the surviving sum, which is
     exact because the complementary sum is empty there.
     """
-    d = check_dimension(d)
+    d = check_integer("d", d, 1)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"omegas must be one-dimensional, got shape {omegas.shape}")
@@ -75,9 +66,8 @@ def coefficient_table(d: int, j: int) -> tuple[int, ...]:
     so outside the band (j = -1 or j = d) only the m = d weight is nonzero,
     and inside it the d+1 weights C m = 0..j, D m = 0..d-j-1 are.
     """
-    d = check_dimension(d)
-    if not isinstance(j, int) or isinstance(j, bool) or not -1 <= j <= d:
-        raise DomainError(f"j must lie in [-1, {d}], got {j!r}")
+    d = check_integer("d", d, 1)
+    j = check_integer("j", j, -1, d)
     w = [0] * (2 * d + 2)
     for m in range(min(j, d - 1) + 1):
         w[m] = (-1) ** (j + (d + m + 1) // 2) * math.comb(d, m) * math.comb(d - m - 1, j - m)

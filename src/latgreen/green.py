@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselPair
-from .coefficients import check_dimension, staircase_js
+from .coefficients import staircase_js
+from .errors import check_integer
 from .integrand import bessel_table, eval_terms, term_exponents, term_weights
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
@@ -109,7 +110,7 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     is integrated.
     """
     cfg = cfg or QuadratureConfig()
-    d = check_dimension(d)  # first, so that an empty grid is checked too
+    d = check_integer("d", d, 1)  # first, so that an empty grid is checked too
     omegas = np.fromiter(omegas, dtype=float)
     js = staircase_js(d, omegas)  # validates every frequency
     exponents = term_exponents(d, omegas)

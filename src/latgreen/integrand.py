@@ -50,8 +50,8 @@ from enum import Enum
 import numpy as np
 
 from .bessel import BesselPair, i0e, k0e
-from .coefficients import check_dimension, coefficient_table, staircase_j
-from .errors import DomainError
+from .coefficients import coefficient_table, staircase_j
+from .errors import DomainError, check_integer
 
 __all__ = [
     "IntegrandSpec",
@@ -128,7 +128,7 @@ def term_exponents(d: int, omegas) -> np.ndarray:
 
 def build_integrand(d: int, omega: float) -> IntegrandSpec:
     """Assemble the integrand of the piecewise formula for (d, omega)."""
-    d, omega = check_dimension(d), float(omega)
+    d, omega = check_integer("d", d, 1), float(omega)
     j = staircase_j(d, omega)  # validates omega
     exponents = term_exponents(d, [omega])[0]
     exponents.flags.writeable = False

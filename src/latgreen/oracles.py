@@ -19,18 +19,20 @@ integrates that factor's closed form exactly.  Both split the range at the
 van Hove frequencies of their factors, and ``_ends`` keeps an end clear
 only of a frequency where a factor is singular: by twice the evaluator's
 snap zone for a d <= 2 factor, by a few ulps for the closed form.
+
+Every argument passes the package's one input rule (``errors.check_integer``
+and ``errors.check_real``), so an oracle raises ``DomainError`` for a NaN,
+an infinity, a bool or a string rather than return a number.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import check_dimension
-from .errors import DomainError, TruncationTooCoarseError
+from .errors import DomainError, TruncationTooCoarseError, check_integer, check_real
 from .green import dos_from_result, green_sweep
 from .integrand import VAN_HOVE_SNAP_TOL
 from .quadrature import QuadratureConfig, integrate_finite
@@ -52,24 +54,13 @@ __all__ = [
 _MAX_KMAX = 200
 
 
-def _check_count(name: str, value, least: int, most: float = math.inf) -> int:
-    # a non-bool integer in [least, most], returned as an int
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or not least <= value <= most):
-        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
-    return int(value)
-
-
-def _check_positive(name: str, value) -> None:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_outside_band(d: int, omega: float) -> None:
+def _check_outside_band(d: int, omega: float) -> float:
+    omega = check_real("omega", omega)
     if not abs(omega) > d:
         raise DomainError(
             f"Laurent series diverges for |omega| <= d, got omega={omega}, d={d}"
         )
+    return omega
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,8 @@ def _walk_counts(d: int, kmax: int) -> list[int]:
 
 def moments(d: int, kmax: int) -> MomentTable:
     """Exact rational moments m_{2k} for k = 0..kmax."""
-    d = check_dimension(d)
-    kmax = _check_count("kmax", kmax, 0, _MAX_KMAX)
+    d = check_integer("d", d, 1)
+    kmax = check_integer("kmax", kmax, 0, _MAX_KMAX)
     counts = _walk_counts(d, kmax)
     return MomentTable(
         d=d, moments=tuple(Fraction(w, 4**k) for k, w in enumerate(counts))
@@ -112,7 +103,7 @@ def laurent_truncation_bound(d: int, omega: float, kmax: int) -> float:
     Valid because consecutive moment ratios are bounded by d^2 (moments of a
     spectral variable supported on [-d, d])."""
     table = moments(d, kmax)
-    _check_outside_band(d, omega)
+    omega = _check_outside_band(d, omega)
     ratio = (d / omega) ** 2
     return float(
         table.moments[kmax] * abs(omega) ** (-2 * kmax - 1) * ratio / (1.0 - ratio)
@@ -122,7 +113,7 @@ def laurent_truncation_bound(d: int, omega: float, kmax: int) -> float:
 def laurent_green(d: int, omega: float, kmax: int) -> complex:
     """Large-|omega| series sum_k m_{2k} omega^{-2k-1}; real outside the band."""
     table = moments(d, kmax)
-    _check_outside_band(d, omega)
+    omega = _check_outside_band(d, omega)
     w = Fraction(omega)
     winv2 = 1 / (w * w)
     acc = Fraction(0)
@@ -136,7 +127,7 @@ def laurent_green(d: int, omega: float, kmax: int) -> complex:
 def g1_closed_form(omega: float) -> complex:
     """Closed form for the chain: 1/sqrt(omega^2-1) outside the band with
     odd real part, -i/sqrt(1-omega^2) inside (retarded, Im <= 0)."""
-    omega = float(omega)
+    omega = check_real("omega", omega)
     if abs(omega) == 1.0:
         raise DomainError("G_1 diverges at the band edges omega = +-1")
     if abs(omega) > 1.0:
@@ -212,7 +203,7 @@ def _band_integral(
     elsewhere.  For d = 1 the integral runs in x = sin(theta), which removes
     the inverse-square-root edges of A_1.
     """
-    d = check_dimension(d)
+    d = check_integer("d", d, 1)
     cfg = cfg or QuadratureConfig.fast()
     inner = _inner(cfg)
     lo = -float(d) if lo is None else lo
@@ -244,7 +235,8 @@ def dos_convolution(
     mapped to theta.  Two factors with d >= 2 are one band integral of
     A_{d1} against A_{d2}(omega - x), both from the evaluator.
     """
-    d1, d2 = check_dimension(d1), check_dimension(d2)
+    d1, d2 = check_integer("d1", d1, 1), check_integer("d2", d2, 1)
+    omega = check_real("omega", omega)
     cfg = cfg or QuadratureConfig.fast()
     inner = _inner(cfg)
     if d2 == 1 and d1 != 1:
@@ -281,7 +273,7 @@ def dos_normalization(d: int, cfg: QuadratureConfig | None = None) -> float:
 
 def dos_moment(d: int, k: int, cfg: QuadratureConfig | None = None) -> float:
     """Numerical even moment integral of omega^{2k} against A_d."""
-    k = _check_count("k", k, 0)
+    k = check_integer("k", k, 0)
     return _band_integral(d, lambda x: x ** (2 * k), cfg).real
 
 
@@ -291,14 +283,11 @@ def bz_bruteforce(d: int, omega: float, eta: float, n: int) -> complex:
     A coarse oracle: converges to the broadened Green function as n grows,
     so quantitative comparisons should broaden the reference by the same
     Lorentzian kernel."""
-    d = check_dimension(d)
-    if d > 3:
-        raise DomainError("brute force supported for d in {1, 2, 3} only")
-    n = _check_count("n", n, 64)
-    _check_positive("eta", eta)
+    d = check_integer("d", d, 1, 3)
+    n = check_integer("n", n, 64)
+    z = complex(check_real("omega", omega), check_real("eta", eta, 0.0, strict=True))
     k = (np.arange(n) + 0.5) * (math.pi / n)
     c = np.cos(k)
-    z = complex(omega, eta)
     if d == 1:
         return complex(np.mean(1.0 / (z - c)))
     if d == 2:
@@ -314,8 +303,7 @@ def lorentz_broadened(
 ) -> complex:
     """G_d(omega + i*eta) from the method's own DOS via the spectral
     representation; the comparison target for bz_bruteforce."""
-    _check_positive("eta", eta)
-    z = complex(omega, eta)
+    z = complex(check_real("omega", omega), check_real("eta", eta, 0.0, strict=True))
     return _band_integral(d, lambda x: 1.0 / (z - x), cfg)
 
 
@@ -326,9 +314,11 @@ def bessel_j_fourier(
 
     Accuracy is limited to a few digits by the oscillations; the absolute
     tail bound |J0(t)|^d <= (2/(pi t))^{d/2} must fall below tol at tmax."""
-    d = check_dimension(d)
-    n = _check_count("n", n, 1)
-    _check_positive("tmax", tmax)
+    d = check_integer("d", d, 1)
+    n = check_integer("n", n, 1)
+    tmax = check_real("tmax", tmax, 0.0, strict=True)
+    omega = check_real("omega", omega)
+    tol = check_real("tol", tol, 0.0, strict=True)
     if d < 3:
         raise TruncationTooCoarseError(
             "the |J0|^d tail bound is not integrable for d < 3"
@@ -364,4 +354,4 @@ def bessel_j_fourier(
         w[0] = 1.0
         w[-1] = 1.0
         acc += np.sum(w * vals)
-    return -1j * (h / 3.0) * acc
+    return complex(-1j * (h / 3.0) * acc)

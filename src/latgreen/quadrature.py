@@ -37,10 +37,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import check_integer, check_real
 
 __all__ = [
     "QuadratureConfig",
@@ -82,15 +83,10 @@ class QuadratureConfig:
     max_levels: int = 12
 
     def __post_init__(self):
-        for t in (self.rel_tol, self.abs_tol):
-            # a bool is a number to Python, but True is no tolerance
-            if not isinstance(t, numbers.Real) or isinstance(t, bool) or not 0.0 < t < math.inf:
-                raise ValueError(f"tolerances must be positive finite numbers, got {t!r}")
-        if not isinstance(self.max_levels, numbers.Integral) or isinstance(self.max_levels, bool):
-            raise ValueError(f"max_levels must be an integer, got {self.max_levels!r}")
-        if not _FIRST_LEVELS <= self.max_levels <= _MAX_LEVELS:
-            raise ValueError(f"max_levels must be in [{_FIRST_LEVELS}, {_MAX_LEVELS}], "
-                             f"got {self.max_levels}")
+        # a non-finite tolerance would accept any error, True is no tolerance
+        check_real("rel_tol", self.rel_tol, 0.0, strict=True)
+        check_real("abs_tol", self.abs_tol, 0.0, strict=True)
+        check_integer("max_levels", self.max_levels, _FIRST_LEVELS, _MAX_LEVELS)
 
     @classmethod
     def fast(cls) -> "QuadratureConfig":
@@ -127,8 +123,7 @@ def _level_nodes(level: int):
     alpha = np.where(v < 0, lo, hi)
     alphac = np.where(v < 0, hi, lo)
     w = 0.25 * math.pi * np.cosh(u) * 4.0 * e / (1.0 + e) ** 2
-    keep = (alpha > 0) & (alphac > 0) & (w > 0)
-    return alpha[keep], alphac[keep], w[keep]
+    return alpha, alphac, w
 
 
 @functools.lru_cache(maxsize=None)  # one entry per evaluating level

@@ -218,3 +218,21 @@ def test_import_does_not_load_scipy():
     loaded, used = proc.stdout.splitlines()
     assert loaded == "[]"
     assert used == f"3/2 {round(1 / math.sqrt(3.0), 12)!r} True"
+
+
+def test_public_names_resolve():
+    # the oracle names are written once, in _ORACLES, and __all__ takes them
+    # from there; each name resolves, the lazy oracles through __getattr__
+    import latgreen
+
+    assert sorted(latgreen.__all__) == sorted([
+        "BesselPair", "bessel_i0", "bessel_k0", "bessel_scaled", "coefficient_table",
+        "staircase_j", "IntegrandSpec", "build_integrand", "eval_integrand", "tail_class",
+        "QuadratureConfig", "QuadratureResult", "integrate_finite", "integrate_semiinfinite",
+        "MomentTable", "moments", "laurent_green", "laurent_truncation_bound",
+        "g1_closed_form", "dos_convolution", "dos_normalization", "dos_moment",
+        "bz_bruteforce", "lorentz_broadened", "bessel_j_fourier", "GreenResult",
+        "green_local", "green_sweep", "dos", "DomainError", "BesselOverflowError",
+        "TruncationTooCoarseError",
+    ])
+    assert all(getattr(latgreen, name) is not None for name in latgreen.__all__)

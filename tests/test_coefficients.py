@@ -1,6 +1,7 @@
 """Exactness and structure tests for the piecewise coefficient tables."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,6 +174,11 @@ def test_zero_coefficients_are_the_outside_band_ones():
             else:
                 assert nonzero == ([("C", m) for m in range(j + 1)]
                                    + [("D", m) for m in range(d - j)])
+
+
+def test_numpy_integer_piece():
+    # j follows the one integer rule, as d does: a numpy integer is a piece
+    assert coefficient_table(3, np.int64(1)) == coefficient_table(3, 1)
 
 
 def test_domain_errors():

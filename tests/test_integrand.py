@@ -263,15 +263,19 @@ def test_term_weights_are_cached_and_read_only():
 
 def test_term_weights_cache_is_typed():
     # True and a numpy integer equal a cached int, but must still reach the
-    # validation of d and j instead of returning that int's weights
+    # validation of d and j instead of returning that int's weights: True
+    # is refused, and a numpy integer, which the rule accepts, is given its
+    # own entry
+    term_weights.cache_clear()
     term_weights(1, 0)
     with pytest.raises(DomainError):
         term_weights(True, 0)
-    term_weights(3, 1)
+    ints = term_weights(3, 1)
     with pytest.raises(DomainError):
         term_weights(3, True)
-    with pytest.raises(DomainError):
-        term_weights(3, np.int64(1))
+    before = term_weights.cache_info().currsize
+    assert np.array_equal(term_weights(3, np.int64(1)), ints)
+    assert term_weights.cache_info().currsize == before + 1
 
 
 def test_weights_beyond_the_double_range_raise_domain_error():

@@ -170,6 +170,11 @@ def test_bessel_j_fourier_golden():
     assert abs(val - complex(0.0, G3_ZERO_IMAG)) < 1e-3
 
 
+def test_bessel_j_fourier_returns_a_python_complex():
+    # as every other oracle does, not a numpy complex128
+    assert type(bessel_j_fourier(3, 0.0, 1.2e4, 1000, tol=1.0)) is complex
+
+
 def test_bessel_j_fourier_guards():
     with pytest.raises(TruncationTooCoarseError):
         bessel_j_fourier(2, 0.0, 1e6, 1_000_000)
@@ -221,14 +226,28 @@ _BAD_INPUTS = {
     "fourier-negative-tmax": (bessel_j_fourier, (3, 0.0, -1.0, 20000, 1.0)),
     "fourier-inf-tmax": (bessel_j_fourier, (3, 0.0, math.inf, 20000, 1.0)),
     "fourier-nan-tmax": (bessel_j_fourier, (3, 0.0, math.nan, 20000, 1.0)),
+    "laurent-inf-omega": (laurent_green, (3, math.inf, 10)),
+    "laurent-minus-inf-omega": (laurent_green, (3, -math.inf, 10)),
+    "laurent-bound-inf-omega": (laurent_truncation_bound, (3, math.inf, 10)),
+    "bz-nan-omega": (bz_bruteforce, (1, math.nan, 0.1, 64)),
+    "lorentz-nan-omega": (lorentz_broadened, (1, math.nan, 0.1)),
+    "g1-nan-omega": (g1_closed_form, (math.nan,)),
+    "fourier-nan-omega": (bessel_j_fourier, (3, math.nan, 1.2e6, 1000)),
+    "fourier-nan-tol": (bessel_j_fourier, (3, 0.0, 10.0, 100, math.nan)),
+    "bz-bool-eta": (bz_bruteforce, (1, 0.3, True, 64)),
+    "fourier-bool-tmax": (bessel_j_fourier, (3, 0.0, True, 10, 10.0)),
+    "bz-str-eta": (bz_bruteforce, (1, 0.3, "0.1", 64)),
+    "lorentz-str-eta": (lorentz_broadened, (1, 0.3, "0.1")),
+    "laurent-str-omega": (laurent_green, (3, "7", 10)),
+    "convolution-str-omega": (dos_convolution, (1, 2, "0.5")),
 }
 
 
 @pytest.mark.parametrize("oracle, args", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_every_oracle_checks_its_dimension(oracle, args):
-    # one input rule, coefficients.check_dimension, in every oracle taking d,
-    # and a DomainError for every other argument out of its domain rather
-    # than a TypeError or a wrong number
+    # one input rule, errors.check_integer and errors.check_real, for d and
+    # every other argument: a DomainError out of its domain rather than a
+    # TypeError or a wrong number (a NaN omega or tol, a bool eta or tmax)
     with pytest.raises(DomainError):
         oracle(*args)
 

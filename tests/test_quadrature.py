@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latgreen.bessel import bessel_k0
+from latgreen.errors import DomainError
 from latgreen.integrand import bessel_table
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
@@ -129,16 +130,29 @@ def test_config_validation():
     assert fast.rel_tol > QuadratureConfig().rel_tol
 
 
-@pytest.mark.parametrize("kwargs", [
+_BAD_CONFIGS = [
     {"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
     {"max_levels": 5.0}, {"max_levels": True}, {"rel_tol": True}, {"abs_tol": "1e-15"},
     {"max_levels": np.int64(17)},
-])
+]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_CONFIGS)
 def test_config_rejects_at_construction(kwargs):
     # a non-finite tolerance would accept any error, and True would be a
     # tolerance of 1.0; a float level count would fail later inside the
     # level loop
     with pytest.raises(ValueError):
+        QuadratureConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", _BAD_CONFIGS + [
+    {"rel_tol": 0.0}, {"abs_tol": -1.0}, {"max_levels": 2}, {"max_levels": 17},
+])
+def test_bad_config_raises_domain_error(kwargs):
+    # the package's one input rule, so a caller catching DomainError (or
+    # ValueError, its base) sees every bad configuration
+    with pytest.raises(DomainError):
         QuadratureConfig(**kwargs)
 
 
@@ -199,6 +213,15 @@ def _per_level_nodes(level):
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
+
+
+def test_every_level_node_lies_inside_with_positive_weight():
+    # _TS_UMAX keeps e^{-2v} normal, so no node of any level the config
+    # accepts reaches an end of (0, 1) or carries a zero weight: the premise
+    # on which _level_nodes keeps every node it forms
+    for level in range(quadrature._MAX_LEVELS + 1):
+        alpha, alphac, w = quadrature._level_nodes(level)
+        assert (alpha > 0).all() and (alphac > 0).all() and (w > 0).all()
 
 
 def _tanh_sinh_reference(parts, n, cfg):

@@ -1,9 +1,11 @@
 """The benchmark's tracer must find every function it wraps, the record
-dump must run, and no value of the benchmark's pool may be silently
-wrong."""
+dump must run, no value of the benchmark's pool may be silently wrong,
+and the package states its input rule once."""
 import importlib.util
 import itertools
 import os
+import pathlib
+import re
 import sys
 from collections import Counter, defaultdict
 
@@ -24,6 +26,15 @@ def test_every_traced_name_resolves():
     missing = [(module.__name__, attr) for module, attr, _, _ in spans.targets()
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_only_errors_states_the_input_rule():
+    # errors.check_integer and errors.check_real are the one rule for a
+    # number argument; a module naming the numbers ABCs states it again
+    rule = re.compile(r"\bnumbers\.\w|\bimport numbers\b|\bfrom numbers\b")
+    mentions = sorted(path.name for path in pathlib.Path(ROOT, "src", "latgreen").glob("*.py")
+                      if rule.search(path.read_text(encoding="utf-8")))
+    assert mentions == ["errors.py"]
 
 
 def test_eval_span_sizes_an_integrand():
