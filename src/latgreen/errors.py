@@ -1,16 +1,17 @@
 """Exception types shared across the package, and its one rule for a
-scalar argument.
+number argument.
 
 An integer argument is any ``numbers.Integral`` (numpy's included) but a
-bool, and a real argument is any finite ``numbers.Real`` but a bool:
-``check_integer`` and ``check_real`` state the rule, each with its range,
-and raise ``DomainError`` for anything else.  Every oracle argument, every
-dimension and piece index, a Bessel argument and each ``QuadratureConfig``
-field pass through them; the evaluator's frequency grid has its own
-vectorised finiteness check (``coefficients.staircase_js``).
+bool, a real one any ``numbers.Real`` but a bool that is finite as a float,
+and a grid a 1-D sequence of reals.  ``check_integer``, ``check_real`` and
+``check_reals`` state the rule and raise ``DomainError`` for anything else;
+every argument passes through them: each oracle argument, dimension, piece
+index and frequency, a Bessel argument and each ``QuadratureConfig`` field.
 """
 import math
 import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -35,10 +36,34 @@ def check_integer(name: str, value, least: int, most: float = math.inf) -> int:
 
 
 def check_real(name: str, value, least: float = -math.inf, strict: bool = False) -> float:
-    """value as a float; raise DomainError unless it is a finite non-bool
-    real number >= least, or > least when ``strict``."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value) or not (value > least if strict else value >= least)):
+    """value as a float; raise DomainError unless it is a non-bool real
+    number, finite as a float, >= least, or > least when ``strict``."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the double range
+        x = math.nan
+    if not math.isfinite(x) or not (x > least if strict else x >= least):
         bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least}"
         raise DomainError(f"{name} must be a finite real number{bound}, got {value!r}")
-    return float(value)
+    return x
+
+
+def check_reals(name: str, values) -> np.ndarray:
+    """values as a 1-D float array of reals that each pass ``check_real``.
+
+    An integer or float ndarray is checked in one step, any other iterable
+    element by element; anything else raises DomainError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        reals = values.astype(float)
+        if reals.ndim != 1:
+            raise DomainError(f"{name} must be one-dimensional, got shape {values.shape}")
+        finite = np.isfinite(reals)
+        if not finite.all():
+            check_real(name, reals[~finite].item(0))  # raises, naming the first
+        return reals
+    try:
+        items = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    return np.array([check_real(name, v) for v in items], dtype=float)

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselPair
-from .coefficients import staircase_js
-from .errors import check_integer
-from .integrand import bessel_table, eval_terms, term_exponents, term_weights
+from .integrand import admit, bessel_table, eval_terms, term_weights
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
 # Not used here since sweeps are batched, but perfbench's tracer (spans.py)
@@ -110,10 +108,7 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     is integrated.
     """
     cfg = cfg or QuadratureConfig()
-    d = check_integer("d", d, 1)  # first, so that an empty grid is checked too
-    omegas = np.fromiter(omegas, dtype=float)
-    js = staircase_js(d, omegas)  # validates every frequency
-    exponents = term_exponents(d, omegas)
+    d, omegas, js, exponents = admit(d, omegas)
     results: list[GreenResult | None] = [None] * len(js)
     order = np.argsort(js, kind="stable")
     if d < 3:
@@ -122,7 +117,7 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
         # frequency, and there one of the piece's own terms has it
         divergent = (exponents == 0.0).any(axis=1)
         for i in np.flatnonzero(divergent).tolist():
-            results[i] = _divergent_result(d, float(omegas[i]), int(js[i]))
+            results[i] = _divergent_result(d, omegas.item(i), int(js[i]))
         order = order[~divergent[order]]
     if order.size:
         rows_q = exponents[order]
@@ -132,7 +127,7 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
             return eval_terms(d, rows_q[cols], _bessel_nodes(level, tail), weights[cols])
 
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
-            results[i] = _result(d, float(omegas[i]), int(js[i]), res)
+            results[i] = _result(d, omegas.item(i), int(js[i]), res)
     return results
 
 

@@ -1,4 +1,25 @@
-"""Assembly of the Bessel-product integrand for given (d, omega).
+"""The integrand of the piecewise formula for given (d, omega): its piece,
+exact coefficients, net exponents and evaluation.
+
+Piece j of G_d weights K^{d-m} I^m e^{-omega tau} with C_jm and
+K^{d-m} I^m e^{+omega tau} with -D_jm, where
+
+    C_jm = sum_{n=m}^{j}     binom(d,n) binom(n,m) i^{2n-d-m}
+    D_jm = sum_{n=m}^{d-j-1} binom(d,n) binom(n,m) i^{d+m-2n}.
+
+Since i^{2n} = (-1)^n, each is a quarter turn times the alternating sum
+
+    sum_{n=m}^{N} (-1)^n binom(d,n) binom(n,m) = (-1)^N binom(d,m) binom(d-m-1, N-m)
+
+(m < d; the m = d sum is its one n = d term), which ``coefficient_table``
+turns into one exact signed integer weight w per term.  A piece has
+2(d+1) slots, C m = 0..d then D m = 0..d, a term being imaginary when d+m
+is odd.  Inside the band (0 <= j <= d-1) the d+1 slots C m = 0..j and
+D m = 0..d-j-1 are nonzero; outside it (j = -1 or j = d) only the m = d
+one is, and the integrand is the single term +-I0(tau)^d e^{-|omega| tau}.
+``admit`` is the one way in: it checks d and the frequencies by the input
+rule and gives each frequency's piece and slot exponents, to a point
+(``build_integrand``) and a sweep alike.
 
 Writing K = kbar e^{-tau} and I = ibar e^{+tau}, each product
 K^{d-m} I^m e^{-/+ omega tau} collapses to kbar^{d-m} ibar^m e^{q tau} with a
@@ -18,22 +39,14 @@ overflows at exactly the same nodes.  Such a term shows as a non-finite
 value, and the quadrature flags the result.  Outside the band the one
 term left, ibar^d e^{q tau}, stays finite at any d.
 
-Only q depends on omega.  The weights w are the exact coefficients of
-``coefficients.coefficient_table`` as floats (``term_weights``); every
-piece of d <= 652 can be formed, and from d = 653 on ``term_weights``
-raises ``DomainError`` for a band piece whose weights leave the double
-range.  The Bessel pair is a ``BesselPair`` of arrays built once per set
-of nodes; ``eval_terms`` evaluates any frequencies, of one piece or of
-many, as one term-major (frequencies x nodes) block, and reads the terms of
-every block from its weights: a term is formed on the rows whose weight
-for it is nonzero.
-
-Inside the band (0 <= j <= d-1) all d+1 terms of a piece have a nonzero
-coefficient.  Outside it (j = -1 or j = d) all but the m = d one are
-exactly zero, and the integrand is the single term +-(1/2^d) ibar^d
-e^{(d-|omega|)tau} = +-I0(tau)^d e^{-|omega| tau}.  ``eval_terms`` forms only
-the terms with a nonzero weight, so such a frequency costs one term at
-any d.
+Only q depends on omega.  The weights are ``coefficient_table``'s as
+floats (``term_weights``); every piece of d <= 652 can be formed, and from
+d = 653 on ``term_weights`` raises ``DomainError`` for a band piece whose
+weights leave the double range.  The Bessel pair is a ``BesselPair`` of
+arrays built once per set of nodes; ``eval_terms`` evaluates any
+frequencies, of one piece or of many, as one term-major (frequencies x
+nodes) block, forming each term only on the rows whose weight for it is
+nonzero, so a frequency outside the band costs one term at any d.
 
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
 the weights it would move the first non-finite band value from d ~ 106 to
@@ -50,13 +63,16 @@ from enum import Enum
 import numpy as np
 
 from .bessel import BesselPair, i0e, k0e
-from .coefficients import coefficient_table, staircase_j
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_reals
 
 __all__ = [
     "IntegrandSpec",
     "TailKind",
     "TailClass",
+    "admit",
+    "staircase_js",
+    "staircase_j",
+    "coefficient_table",
     "bessel_table",
     "build_integrand",
     "term_exponents",
@@ -110,29 +126,74 @@ class TailClass:
     parameter: float = 0.0
 
 
-def term_exponents(d: int, omegas) -> np.ndarray:
-    """The net exponent of every slot for each frequency.
+def staircase_js(d: int, omegas: np.ndarray) -> np.ndarray:
+    """Piece selector floor((omega+d)/2), clamped to [-1, d], of every
+    frequency of an admitted grid (see ``admit``), as an int array.
 
-    The 2(d+1) slots run in the formula's order: the C terms m = 0..d in
-    slots 0..d (exponent 2m - d - omega), then the D terms m = 0..d in
-    slots d+1..2d+1 (exponent 2m - d + omega).  Returns a
-    (frequencies x 2(d+1)) array; an exponent within
-    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.
+    Outside the clamp range one of the two sums would be indexed out of its
+    defining range; clamping puts all weight in the surviving sum, which is
+    exact because the complementary sum is empty there.
     """
-    omegas = np.asarray(omegas, dtype=float).reshape(-1, 1)
+    return np.minimum(np.maximum(np.floor((omegas + d) / 2.0), -1), d).astype(int)
+
+
+def staircase_j(d: int, omega: float) -> int:
+    """The piece of one frequency; see ``staircase_js``."""
+    return int(admit(d, [omega])[2][0])
+
+
+def coefficient_table(d: int, j: int) -> tuple[int, ...]:
+    """The exact signed weight w of every slot of piece j of dimension d:
+    C_jm = w[m] i^{(d+m) mod 2} and D_jm = -w[d+1+m] i^{(d+m) mod 2}.  By
+    the alternating sum above,
+
+        w[m]       = (-1)^{j + ceil((d+m)/2)}  binom(d,m) binom(d-m-1, j-m)
+        w[d+1+m]   = (-1)^{d-j + floor((d+m)/2)} binom(d,m) binom(d-m-1, d-j-1-m)
+
+    for m < d, w[d] = 1 when j = d and w[2d+1] = -1 when j = -1, and every
+    other weight is 0: binom is 0 where its lower index exceeds the upper.
+    """
+    d = check_integer("d", d, 1)
+    j = check_integer("j", j, -1, d)
+    w = [0] * (2 * d + 2)
+    for m in range(min(j, d - 1) + 1):
+        w[m] = (-1) ** (j + (d + m + 1) // 2) * math.comb(d, m) * math.comb(d - m - 1, j - m)
+    for m in range(min(d - j - 1, d - 1) + 1):
+        w[d + 1 + m] = ((-1) ** (d - j + (d + m) // 2) * math.comb(d, m)
+                        * math.comb(d - m - 1, d - j - 1 - m))
+    if j == d:
+        w[d] = 1
+    if j == -1:
+        w[2 * d + 1] = -1
+    return tuple(w)
+
+
+def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
+    """The net exponent q = 2m - d -/+ omega of every slot, as a
+    (frequencies x 2(d+1)) array for an admitted grid; an exponent within
+    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0."""
+    omegas = omegas.reshape(-1, 1)
     base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
     q = np.concatenate((base - omegas, base + omegas), axis=1)
     q[np.abs(q) <= VAN_HOVE_SNAP_TOL * max(1.0, d)] = 0.0
     return q
 
 
+def admit(d: int, omegas) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(d, omegas, js, exponents): d and the frequencies checked once by the
+    input rule (``errors.check_integer``, ``errors.check_reals``), with the
+    piece (``staircase_js``) and slot exponents (``term_exponents``) of each."""
+    d = check_integer("d", d, 1)
+    omegas = check_reals("omega", omegas)
+    return d, omegas, staircase_js(d, omegas), term_exponents(d, omegas)
+
+
 def build_integrand(d: int, omega: float) -> IntegrandSpec:
     """Assemble the integrand of the piecewise formula for (d, omega)."""
-    d, omega = check_integer("d", d, 1), float(omega)
-    j = staircase_j(d, omega)  # validates omega
-    exponents = term_exponents(d, [omega])[0]
+    d, omegas, js, exponents = admit(d, [omega])
+    j, exponents = int(js[0]), exponents[0]
     exponents.flags.writeable = False
-    return IntegrandSpec(d=d, omega=omega, j=j, weights=term_weights(d, j),
+    return IntegrandSpec(d=d, omega=omegas.item(0), j=j, weights=term_weights(d, j),
                          exponents=exponents)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latgreen.coefficients import coefficient_table, staircase_j
+from latgreen.integrand import coefficient_table, staircase_j
 from latgreen.errors import DomainError
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latgreen.bessel import bessel_i0, bessel_k0
-from latgreen.coefficients import coefficient_table, staircase_js
+from latgreen.integrand import coefficient_table, staircase_js
 from latgreen.errors import DomainError
 from latgreen.integrand import (
     TailKind,

@@ -240,6 +240,9 @@ _BAD_INPUTS = {
     "lorentz-str-eta": (lorentz_broadened, (1, 0.3, "0.1")),
     "laurent-str-omega": (laurent_green, (3, "7", 10)),
     "convolution-str-omega": (dos_convolution, (1, 2, "0.5")),
+    "g1-huge-omega": (g1_closed_form, (10**400,)),
+    "bz-huge-omega": (bz_bruteforce, (1, 10**400, 0.1, 64)),
+    "laurent-huge-omega": (laurent_green, (3, 10**400, 10)),
 }
 
 

@@ -11,7 +11,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from latgreen import build_integrand, green_local, green_sweep
+from latgreen import build_integrand, green, green_local, green_sweep
+from latgreen.integrand import term_weights
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -26,6 +27,22 @@ def test_every_traced_name_resolves():
     missing = [(module.__name__, attr) for module, attr, _, _ in spans.targets()
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_traced_layers_are_on_the_call_path():
+    # a point on cold caches passes through every traced layer below it:
+    # the coefficient table of its piece and the Bessel pair on the nodes
+    term_weights.cache_clear()
+    green._bessel_nodes.cache_clear()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        green_local(5, 0.3)
+    finally:
+        tracer.uninstall()
+    agg = spans.aggregate(tracer.spans)
+    assert agg["coefficients"]["keys"] == {"5,2"}
+    assert agg["bessel"]["n"] > 0
 
 
 def test_only_errors_states_the_input_rule():
