@@ -31,8 +31,16 @@ def check_integer(name: str, value, least: int, most: float = math.inf) -> int:
     integer in [least, most]."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or not least <= value <= most):
-        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {_shown(value)}")
     return int(value)
+
+
+def _shown(value) -> str:
+    """repr(value), or its type for an int too long for repr to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def check_real(name: str, value, least: float = -math.inf, strict: bool = False) -> float:
@@ -40,30 +48,22 @@ def check_real(name: str, value, least: float = -math.inf, strict: bool = False)
     number, finite as a float, >= least, or > least when ``strict``."""
     try:
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        x = float(value) if real else math.nan
+        x = float(value) if real else None
     except OverflowError:  # an int or Fraction beyond the double range
-        x = math.nan
-    if not math.isfinite(x) or not (x > least if strict else x >= least):
+        x = None
+    if x is None or not math.isfinite(x) or not (x > least if strict else x >= least):
         bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least}"
-        raise DomainError(f"{name} must be a finite real number{bound}, got {value!r}")
+        shown = _shown(value if x is None else x)  # a real shown as the float it is
+        raise DomainError(f"{name} must be a finite real number{bound}, got {shown}")
     return x
 
 
 def check_reals(name: str, values) -> np.ndarray:
-    """values as a 1-D float array of reals that each pass ``check_real``.
-
-    An integer or float ndarray is checked in one step, any other iterable
-    element by element; anything else raises DomainError."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        reals = values.astype(float)
-        if reals.ndim != 1:
-            raise DomainError(f"{name} must be one-dimensional, got shape {values.shape}")
-        finite = np.isfinite(reals)
-        if not finite.all():
-            check_real(name, reals[~finite].item(0))  # raises, naming the first
-        return reals
+    """values as a 1-D float array of reals that each pass ``check_real``;
+    anything but an iterable of them raises DomainError."""
     try:
         items = iter(values)
     except TypeError:
-        raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+        raise DomainError(
+            f"{name} must be a sequence of real numbers, got {_shown(values)}") from None
     return np.array([check_real(name, v) for v in items], dtype=float)

@@ -70,12 +70,10 @@ __all__ = [
     "TailKind",
     "TailClass",
     "admit",
-    "staircase_js",
     "staircase_j",
     "coefficient_table",
     "bessel_table",
     "build_integrand",
-    "term_exponents",
     "term_weights",
     "eval_integrand",
     "eval_terms",
@@ -128,7 +126,8 @@ class TailClass:
 
 def staircase_js(d: int, omegas: np.ndarray) -> np.ndarray:
     """Piece selector floor((omega+d)/2), clamped to [-1, d], of every
-    frequency of an admitted grid (see ``admit``), as an int array.
+    frequency of a grid, as an int array.  It checks nothing: callers go
+    through ``admit``.
 
     Outside the clamp range one of the two sums would be indexed out of its
     defining range; clamping puts all weight in the surviving sum, which is
@@ -170,8 +169,9 @@ def coefficient_table(d: int, j: int) -> tuple[int, ...]:
 
 def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
     """The net exponent q = 2m - d -/+ omega of every slot, as a
-    (frequencies x 2(d+1)) array for an admitted grid; an exponent within
-    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0."""
+    (frequencies x 2(d+1)) array; an exponent within
+    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.  It
+    checks nothing: callers go through ``admit``."""
     omegas = omegas.reshape(-1, 1)
     base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
     q = np.concatenate((base - omegas, base + omegas), axis=1)

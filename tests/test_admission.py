@@ -29,6 +29,7 @@ _BAD_FREQUENCIES = {
     "nan": math.nan,
     "inf": math.inf,
     "beyond-double": 10**400,
+    "beyond-repr": 10**5000,  # more digits than repr will print
 }
 
 

@@ -162,6 +162,18 @@ def test_bad_input_exits_one_without_traceback(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--d", "3", "--omega", "nan"],
+    ["sweep", "--d", "3", "--omega-min", "nan", "--omega-max", "1", "--steps", "3"],
+])
+def test_non_finite_omega_error_line(capsys, argv):
+    # the one input rule's wording, for a point and a sweep alike
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: omega must be a finite real number, got nan\n"
+    assert captured.out == ""
+
+
 def test_selftest_quick_passes(capsys):
     code, out = run_cli(capsys, "selftest", "--level", "quick")
     assert code == 0

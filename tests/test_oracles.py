@@ -243,6 +243,8 @@ _BAD_INPUTS = {
     "g1-huge-omega": (g1_closed_form, (10**400,)),
     "bz-huge-omega": (bz_bruteforce, (1, 10**400, 0.1, 64)),
     "laurent-huge-omega": (laurent_green, (3, 10**400, 10)),
+    "g1-unprintable-omega": (g1_closed_form, (10**5000,)),
+    "bz-unprintable-d": (bz_bruteforce, (10**5000, 0.3, 0.1, 64)),
 }
 
 
