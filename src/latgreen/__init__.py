@@ -5,12 +5,8 @@ band [-d, d]) to near machine precision for any real frequency and any
 dimension, together with the density of states and a battery of
 verification oracles (see ``latgreen.oracles`` for which are independent).
 """
-from .bessel import BesselPair, bessel_i0, bessel_k0, bessel_scaled
-from .errors import (
-    BesselOverflowError,
-    DomainError,
-    TruncationTooCoarseError,
-)
+from .bessel import BesselPair
+from .errors import DomainError, TruncationTooCoarseError
 from .green import GreenResult, dos, green_local, green_sweep
 from .integrand import (IntegrandSpec, build_integrand, coefficient_table, eval_integrand,
                         staircase_j, tail_class)
@@ -31,9 +27,6 @@ _ORACLES = frozenset({
 
 __all__ = [
     "BesselPair",
-    "bessel_i0",
-    "bessel_k0",
-    "bessel_scaled",
     "coefficient_table",
     "staircase_j",
     "IntegrandSpec",
@@ -49,7 +42,6 @@ __all__ = [
     "green_sweep",
     "dos",
     "DomainError",
-    "BesselOverflowError",
     "TruncationTooCoarseError",
     *sorted(_ORACLES),
 ]

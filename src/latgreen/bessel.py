@@ -1,6 +1,7 @@
-"""Modified Bessel functions K0 and I0 in plain and exponentially scaled form.
+"""Exponentially scaled modified Bessel functions K0 and I0 on arrays of nodes.
 
-The evaluator is split into two branches per function:
+``k0e(tau) = exp(tau)*K0(tau)`` and ``i0e(tau) = exp(-tau)*I0(tau)`` are
+evaluated in two branches each:
 
 * small arguments use the (everywhere convergent) power series, in the
   standard logarithmic form for K0;
@@ -9,9 +10,9 @@ The evaluator is split into two branches per function:
   reference values.  Both tables are accurate to about 1.5 machine epsilons
   over their whole range.
 
-The scaled pair ``(kbar, ibar)`` with ``kbar = exp(+tau)*(2/pi)*K0(tau)`` and
-``ibar = exp(-tau)*2*I0(tau)`` never overflows for any representable ``tau``
-and is the form the integrand assembly consumes.
+The integrand assembly consumes them as the pair ``(kbar, ibar)`` with
+``kbar = exp(+tau)*(2/pi)*K0(tau)`` and ``ibar = exp(-tau)*2*I0(tau)``, which
+never overflows for any representable ``tau``.
 """
 from __future__ import annotations
 
@@ -20,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BesselOverflowError, check_real
-
-__all__ = [
-    "BesselPair",
-    "bessel_k0",
-    "bessel_i0",
-    "bessel_scaled",
-    "k0e",
-    "i0e",
-]
+__all__ = ["BesselPair", "k0e", "i0e"]
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -38,9 +30,6 @@ _EULER_GAMMA = 0.5772156649015328606
 # rather than the more usual 2.0 (the seam agreement is tested explicitly).
 _K0_SERIES_MAX = 1.0
 _I0_SERIES_MAX = 7.75
-
-# Largest tau for which exp(+tau)*I0(tau) is representable as a double.
-I0_OVERFLOW_TAU = 713.98
 
 # I0 power series sum_k x^k/(k!)^2, x = (tau/2)^2, highest order first.
 _I0_SERIES = tuple(1.0 / math.factorial(k) ** 2 for k in range(25, -1, -1))
@@ -129,23 +118,22 @@ _I0E_CHEB = (
 @dataclass(frozen=True)
 class BesselPair:
     """Scaled pair kbar = e^{+tau}(2/pi)K0(tau), ibar = e^{-tau} 2 I0(tau)
-    at tau, a scalar or an array of nodes (then all three are arrays)."""
+    at an array of nodes tau."""
 
-    kbar: float | np.ndarray
-    ibar: float | np.ndarray
-    tau: float | np.ndarray
+    kbar: np.ndarray
+    ibar: np.ndarray
+    tau: np.ndarray
 
 
 def _horner(coeffs, x):
-    s = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+    s = 0.0
     for c in coeffs:
         s = s * x + c
     return s
 
 
 def _clenshaw(coeffs, t):
-    b0 = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
-    b1 = b0
+    b0 = b1 = 0.0
     t2 = 2.0 * t
     for c in coeffs[:0:-1]:
         b0, b1 = c + t2 * b0 - b1, b0
@@ -176,13 +164,13 @@ def _scaled(tau, cut, series, cheb):
     if (~small).any():
         tl = tau[~small]
         out[~small] = _clenshaw(cheb, 2.0 * (cut / tl) - 1.0) / np.sqrt(tl)
-    return out if out.ndim else float(out)
+    return out
 
 
 def k0e(tau):
     """Exponentially scaled K0: ``exp(tau) * K0(tau)``.
 
-    Accepts a positive scalar or ndarray; no input validation.
+    Accepts an array of positive nodes; no input validation.
     """
     return _scaled(tau, _K0_SERIES_MAX, lambda ts: np.exp(ts) * _k0_series(ts), _K0E_CHEB)
 
@@ -190,48 +178,7 @@ def k0e(tau):
 def i0e(tau):
     """Exponentially scaled I0: ``exp(-tau) * I0(tau)``.
 
-    Accepts a non-negative scalar or ndarray; no input validation.
+    Accepts an array of non-negative nodes; no input validation.
     """
     return _scaled(tau, _I0_SERIES_MAX, lambda ts: np.exp(-ts) * _i0_series(ts), _I0E_CHEB)
 
-
-def bessel_k0(tau):
-    """K0(tau) for tau > 0; underflows gracefully to 0 for very large tau."""
-    tau = check_real("tau", tau, 0.0, strict=True)
-    if tau <= _K0_SERIES_MAX:
-        return float(_k0_series(tau))
-    scaled = float(k0e(tau))
-    if tau <= 700.0:
-        return math.exp(-tau) * scaled
-    # here exp(-tau) alone underflows before the product does; fold the
-    # scaled magnitude into the exponent (accuracy is moot this deep)
-    return math.exp(-tau + math.log(scaled))
-
-
-def bessel_i0(tau):
-    """I0(tau) for tau >= 0; raises once exp(+tau) leaves the double range."""
-    tau = check_real("tau", tau, 0.0)
-    if tau <= _I0_SERIES_MAX:
-        return float(_i0_series(tau))
-    scaled = float(i0e(tau))
-    log_i0 = tau + math.log(scaled)
-    if log_i0 > 709.782712893384:
-        raise BesselOverflowError(
-            f"I0({tau}) overflows a double; the unscaled form is only "
-            f"representable for tau <= {I0_OVERFLOW_TAU}"
-        )
-    if tau <= 709.0:
-        return math.exp(tau) * scaled
-    # exp(tau) alone overflows although I0 itself is still representable
-    return math.exp(log_i0)
-
-
-def bessel_scaled(tau):
-    """Overflow-safe pair (kbar, ibar) with K0 = kbar*e^{-tau}*pi/2 conventions.
-
-    ``kbar = exp(+tau)*(2/pi)*K0(tau)`` and ``ibar = exp(-tau)*2*I0(tau)``;
-    both stay representable for every positive double ``tau``.
-    """
-    tau = check_real("tau", tau, 0.0, strict=True)
-    return BesselPair(kbar=(2.0 / math.pi) * float(k0e(tau)),
-                      ibar=2.0 * float(i0e(tau)), tau=tau)

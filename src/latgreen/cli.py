@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .errors import check_real
 from .green import GreenResult, dos, dos_from_result, green_local, green_sweep
 from .quadrature import QuadratureConfig
 
@@ -111,7 +112,10 @@ def cmd_point(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
-    grid = np.linspace(args.omega_min, args.omega_max, args.steps)
+    lo, hi = check_real("omega", args.omega_min), check_real("omega", args.omega_max)
+    # np.linspace warns and fills nan where hi - lo overflows
+    check_real("omega span (omega-max - omega-min)", hi - lo)
+    grid = np.linspace(lo, hi, args.steps)
     results = green_sweep(args.d, grid, _cfg(args))
     _emit([_record(r) for r in results], args.format, args.out)
     return _exit_code(results)

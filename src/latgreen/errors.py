@@ -6,7 +6,8 @@ bool, a real one any ``numbers.Real`` but a bool that is finite as a float,
 and a grid a 1-D sequence of reals.  ``check_integer``, ``check_real`` and
 ``check_reals`` state the rule and raise ``DomainError`` for anything else;
 every argument passes through them: each oracle argument, dimension, piece
-index and frequency, a Bessel argument and each ``QuadratureConfig`` field.
+index and frequency, the ends of ``integrate_finite`` and of a CLI sweep,
+and each ``QuadratureConfig`` field.
 """
 import math
 import numbers
@@ -16,10 +17,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""
-
-
-class BesselOverflowError(OverflowError):
-    """Unscaled Bessel value exceeds the double range; use the scaled form."""
 
 
 class TruncationTooCoarseError(ValueError):

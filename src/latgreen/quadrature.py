@@ -268,8 +268,8 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
     singularities.  Nodes near either endpoint are placed by their distance
     to that endpoint, so the singular behaviour is sampled accurately."""
     cfg = cfg or QuadratureConfig()
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+    a = check_real("a", a)
+    b = check_real("b", b, a, strict=True)
     span = b - a
 
     def g(level, alpha, alphac, cols):

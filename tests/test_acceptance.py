@@ -4,10 +4,10 @@ import cmath
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen.bessel import bessel_i0, bessel_k0
 from latgreen.cli import main as cli_main
 from latgreen.green import dos, green_local
 from latgreen.oracles import (
@@ -82,8 +82,8 @@ def test_criterion_03_laurent_triangle():
 
 def _cubic_piece(omega, tau):
     # the five-piece integral formula for d = 3 written out verbatim
-    K = 2.0 / math.pi * bessel_k0(tau)
-    I = 2.0 * bessel_i0(tau)
+    K = 2.0 / math.pi * float(mp.besselk(0, tau))
+    I = 2.0 * float(mp.besseli(0, tau))
     w = omega
     if w <= -3.0:
         val = -(I**3) * math.exp(w * tau)

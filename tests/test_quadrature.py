@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from latgreen.bessel import bessel_k0
+from latgreen.bessel import k0e
 from latgreen.errors import DomainError
 from latgreen.integrand import bessel_table
 from latgreen import green, quadrature
@@ -22,7 +22,7 @@ from latgreen.quadrature import (
 from reference_values import EULER_GAMMA
 
 def _k0_vec(tau):
-    return np.asarray([bessel_k0(float(t)) for t in np.atleast_1d(tau)])
+    return k0e(tau) * np.exp(-tau)
 
 
 def test_exponential_unit_integral():
@@ -190,6 +190,15 @@ def test_head_and_tail_stop_independently(monkeypatch):
 def test_finite_bad_interval():
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("a,b", [
+    (True, 2.0), ("0", 1.0), (0.0, math.inf), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0),
+])
+def test_finite_ends_follow_the_input_rule(a, b):
+    # each end is a finite real, not a bool, and b > a
+    with pytest.raises(DomainError):
+        integrate_finite(lambda x: x, a, b)
 
 
 def test_complex_integrand():
