@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import check_real
+from .errors import check_integer, check_real
 from .green import GreenResult, dos, dos_from_result, green_local, green_sweep
 from .quadrature import QuadratureConfig
 
@@ -110,12 +110,11 @@ def cmd_point(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be >= 2")
+    steps = check_integer("--steps", args.steps, 2)
     lo, hi = check_real("omega", args.omega_min), check_real("omega", args.omega_max)
     # np.linspace warns and fills nan where hi - lo overflows
     check_real("omega span (omega-max - omega-min)", hi - lo)
-    grid = np.linspace(lo, hi, args.steps)
+    grid = np.linspace(lo, hi, steps)
     results = green_sweep(args.d, grid, _cfg(args))
     _emit([_record(r) for r in results], args.format, args.out)
     return _exit_code(results)

@@ -6,8 +6,8 @@ bool, a real one any ``numbers.Real`` but a bool that is finite as a float,
 and a grid a 1-D sequence of reals.  ``check_integer``, ``check_real`` and
 ``check_reals`` state the rule and raise ``DomainError`` for anything else;
 every argument passes through them: each oracle argument, dimension, piece
-index and frequency, the ends of ``integrate_finite`` and of a CLI sweep,
-and each ``QuadratureConfig`` field.
+index and frequency, the ends of ``integrate_finite``, the ends and step
+count of a CLI sweep, and each ``QuadratureConfig`` field.
 """
 import math
 import numbers

@@ -34,9 +34,9 @@ __all__ = [
     "VAN_HOVE_ADJACENT_TOL",
 ]
 
-# Results closer than this to a van Hove frequency get flagged: accuracy
-# degrades there because the local |omega - omega_v|^{d/2-1} behaviour is
-# not resolvable below the snap tolerance.
+# Results closer than this to a van Hove frequency get flagged: G follows
+# the local |omega - omega_v|^{d/2-1} law there, which is ill-conditioned
+# in omega, so the rounding of omega itself moves the value.
 VAN_HOVE_ADJACENT_TOL = 1e-6
 
 
@@ -88,7 +88,7 @@ def _result(d: int, omega: float, j: int, res: QuadratureResult) -> GreenResult:
 
 def _divergent_result(d: int, omega: float, j: int) -> GreenResult:
     return GreenResult(
-        omega=omega, d=d, value=_divergent_value(d, _nearest_van_hove(d, omega)),
+        omega=omega, d=d, value=_divergent_value(d, omega),
         abs_error=math.inf, piece_j=j, van_hove_adjacent=True,
         divergent=True, converged=False,
     )

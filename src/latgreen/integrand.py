@@ -24,9 +24,13 @@ rule and gives each frequency's piece and slot exponents, to a point
 Writing K = kbar e^{-tau} and I = ibar e^{+tau}, each product
 K^{d-m} I^m e^{-/+ omega tau} collapses to kbar^{d-m} ibar^m e^{q tau} with a
 single analytically-formed net exponent q = 2m - d -/+ omega.  Every term
-that piece j forms has q <= 0 (exactly 0 only at a van Hove frequency), so
-the exponential growth of K and I never reaches floating point, and each
-term is the plain product w * (kbar^{d-m} ibar^m * e^{q tau}).
+that piece j forms has q <= 0, so the exponential growth of K and I never
+reaches floating point, and each term is the plain product
+w * (kbar^{d-m} ibar^m * e^{q tau}).  This holds in floating point too:
+``staircase_js`` picks the piece by exact comparisons of omega with the van
+Hove frequencies, each q is one rounded difference of such a frequency and
+omega, and since rounding is monotone and x - y is 0 only when x == y, the
+rounded q keeps its sign, and is exactly 0 only at an exact van Hove input.
 
 That product has a limit at large d.  As tau -> 0, ibar -> 2 while kbar
 grows like (2/pi)|ln tau|, to about 437 at the smallest head node
@@ -78,13 +82,7 @@ __all__ = [
     "eval_integrand",
     "eval_terms",
     "tail_class",
-    "VAN_HOVE_SNAP_TOL",
 ]
-
-# omega is treated as sitting exactly on a van Hove frequency when closer
-# than this; an exactly-zero exponent switches the tail handling, and the
-# tolerance matches the representation error of the input.
-VAN_HOVE_SNAP_TOL = 1e-13
 
 # Most exponent*tau products (terms x rows x nodes) formed at once by
 # eval_terms on a block of one piece: the d = 120 terms of one frequency on
@@ -125,15 +123,12 @@ class TailClass:
 
 
 def staircase_js(d: int, omegas: np.ndarray) -> np.ndarray:
-    """Piece selector floor((omega+d)/2), clamped to [-1, d], of every
-    frequency of a grid, as an int array.  It checks nothing: callers go
-    through ``admit``.
-
-    Outside the clamp range one of the two sums would be indexed out of its
-    defining range; clamping puts all weight in the surviving sum, which is
-    exact because the complementary sum is empty there.
-    """
-    return np.minimum(np.maximum(np.floor((omegas + d) / 2.0), -1), d).astype(int)
+    """The piece j of every frequency of a grid, as an int array: the number
+    of van Hove frequencies -d, -d+2, .., d at or below omega, less one, so
+    j in [-1, d].  It compares omega with the van Hove frequencies exactly,
+    where floor((omega+d)/2) would round omega + d.  It checks nothing:
+    callers go through ``admit``."""
+    return np.searchsorted(np.arange(-d, d + 1, 2.0), omegas, side="right") - 1
 
 
 def staircase_j(d: int, omega: float) -> int:
@@ -169,14 +164,11 @@ def coefficient_table(d: int, j: int) -> tuple[int, ...]:
 
 def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
     """The net exponent q = 2m - d -/+ omega of every slot, as a
-    (frequencies x 2(d+1)) array; an exponent within
-    ``VAN_HOVE_SNAP_TOL * max(1, d)`` of zero is set to exactly 0.  It
-    checks nothing: callers go through ``admit``."""
+    (frequencies x 2(d+1)) array, each one rounded difference.  It checks
+    nothing: callers go through ``admit``."""
     omegas = omegas.reshape(-1, 1)
     base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
-    q = np.concatenate((base - omegas, base + omegas), axis=1)
-    q[np.abs(q) <= VAN_HOVE_SNAP_TOL * max(1.0, d)] = 0.0
-    return q
+    return np.concatenate((base - omegas, base + omegas), axis=1)
 
 
 def admit(d: int, omegas) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

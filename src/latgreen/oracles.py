@@ -16,9 +16,9 @@ brute force), and dimension addition A_{d1+d2} = A_{d1} * A_{d2}
 (``dos_convolution``).  Each of them is one band integral,
 ``_band_integral``, except a convolution with a 1d factor, which
 integrates that factor's closed form exactly.  Both split the range at the
-van Hove frequencies of their factors, and ``_ends`` keeps an end clear
-only of a frequency where a factor is singular: by twice the evaluator's
-snap zone for a d <= 2 factor, by a few ulps for the closed form.
+van Hove frequencies of their factors, and ``_ends`` keeps an end clear,
+by a few ulps (``_clearance``), only of a frequency where a factor is
+singular: a van Hove frequency of a d <= 2 factor.
 
 Every argument passes the package's one input rule (``errors.check_integer``
 and ``errors.check_real``), so an oracle raises ``DomainError`` for a NaN,
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import DomainError, TruncationTooCoarseError, check_integer, check_real
 from .green import dos_from_result, green_sweep
-from .integrand import VAN_HOVE_SNAP_TOL
 from .quadrature import QuadratureConfig, integrate_finite
 
 __all__ = [
@@ -128,15 +127,16 @@ def g1_closed_form(omega: float) -> complex:
     """Closed form for the chain: 1/sqrt(omega^2-1) outside the band with
     odd real part, -i/sqrt(1-omega^2) inside (retarded, Im <= 0)."""
     omega = check_real("omega", omega)
-    if abs(omega) == 1.0:
+    a = abs(omega)
+    if a == 1.0:
         raise DomainError("G_1 diverges at the band edges omega = +-1")
-    if abs(omega) > 1.0:
-        return complex(math.copysign(1.0 / math.sqrt(omega * omega - 1.0), omega), 0.0)
-    return complex(0.0, -1.0 / math.sqrt(1.0 - omega * omega))
+    if a > 1.0:
+        return complex(math.copysign(1.0 / math.sqrt((a - 1.0) * (a + 1.0)), omega), 0.0)
+    return complex(0.0, -1.0 / math.sqrt((1.0 - omega) * (1.0 + omega)))
 
 
 def _a1(x):
-    return 1.0 / (np.pi * np.sqrt(1.0 - x * x))
+    return 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
 
 
 def _van_hove_points(d: int) -> list[float]:
@@ -144,16 +144,11 @@ def _van_hove_points(d: int) -> list[float]:
 
 
 def _clearance(d: int) -> float:
-    # The x clearance an integration end keeps from a van Hove frequency of an
-    # evaluator factor of dimension d: twice the snap zone, inside which the
-    # evaluator returns its flagged divergence for d <= 2.  A d >= 3 factor
-    # is finite there and keeps none.
-    return 2.0 * VAN_HOVE_SNAP_TOL * max(1, d) if d <= 2 else 0.0
-
-
-# The closed-form chain factor has no snap zone: its clearance only keeps
-# 1 - x^2 positive at an end.
-_A1_CLEARANCE = 4.0 * np.finfo(float).eps
+    # The x clearance an integration end keeps from a van Hove frequency of a
+    # factor of dimension d, the evaluator's or the chain's closed form: a
+    # few ulps, so that no node lands on a frequency where a d <= 2 factor
+    # diverges.  A d >= 3 factor is finite there and keeps none.
+    return 4.0 * np.finfo(float).eps * max(1, d) if d <= 2 else 0.0
 
 
 def _ends(lo: float, hi: float, stops) -> list[tuple[float, float]]:
@@ -254,15 +249,12 @@ def dos_convolution(
 
     # x = sin(theta), where A_1(x) dx = d(theta)/pi; a chain second factor
     # is its closed form too
-    if d2 == 1:
-        a2, clear = _a1, _A1_CLEARANCE
-    else:
-        a2, clear = (lambda y: _dos_grid(d2, y, inner)), _clearance(d2)
+    a2 = _a1 if d2 == 1 else (lambda y: _dos_grid(d2, y, inner))
 
     def g(th):
         return a2(omega - np.sin(th)) / math.pi
 
-    ends = np.arcsin(_ends(lo, hi, [(c, clear) for c in cuts])).tolist()
+    ends = np.arcsin(_ends(lo, hi, [(c, _clearance(d2)) for c in cuts])).tolist()
     return sum((integrate_finite(g, a, b, cfg).value.real for a, b in ends), 0.0)
 
 

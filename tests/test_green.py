@@ -106,10 +106,72 @@ def test_van_hove_adjacency_flag():
     assert VAN_HOVE_ADJACENT_TOL == 1e-6
 
 
-def test_snapped_input_evaluates_on_the_point():
-    exact = green_local(3, 1.0)
-    snapped = green_local(3, 1.0 + 1e-14)
-    assert abs(snapped.value - exact.value) < 1e-12
+def _ulp_neighbours(points, toward):
+    """The frequencies ``points`` moved by 1, 10 and 10^4 ulps toward +-inf,
+    then by 1e-13, as rows of a (4 x points) array."""
+    x, rows = np.asarray(points, dtype=float), []
+    for k in range(1, 10**4 + 1):
+        x = np.nextafter(x, toward)
+        if k in (1, 10, 10**4):
+            rows.append(x)
+    rows.append(points + math.copysign(1e-13, toward))
+    return np.array(rows)
+
+
+def _closed_form(d, w):
+    """G_1 or G_2 at w + i0 in 50-digit mpmath; G_2(z) = 2/(pi z) K(m = 4/z^2),
+    the limit taken at a relative distance 1e-30 above the axis."""
+    with mp.workdps(50):
+        w = mp.mpf(w)
+        if d == 1:
+            if abs(w) > 1:
+                return complex(mp.sign(w) / mp.sqrt(w * w - 1))
+            return complex(mp.mpc(0, -1 / mp.sqrt(1 - w * w)))
+        z = mp.mpc(w, abs(w) * mp.mpf(10) ** -30)
+        return complex(2 / (mp.pi * z) * mp.ellipk(4 / (z * z)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_van_hove_ulp_neighbourhoods_are_right_or_flagged(d):
+    # a frequency a few ulps from a van Hove point is evaluated at itself:
+    # right against the d = 1 and 2 closed forms, on the sqrt(delta) law of
+    # d = 3, within a delta log delta continuity bound of the point at d = 4,
+    # or flagged
+    van_hove = np.arange(-d, d + 1, 2.0)
+    on = green_sweep(d, van_hove)
+    assert all(r.divergent for r in on) == (d <= 2)
+    for toward in (math.inf, -math.inf):
+        grid = _ulp_neighbours(van_hove, toward)
+        if d == 3:  # the sqrt(delta) coefficient of each point on this side
+            far = green_sweep(d, van_hove + math.copysign(1e-9, toward))
+            coeff = [abs(f.value - v.value) / math.sqrt(1e-9) for f, v in zip(far, on)]
+        for w, r in zip(grid.ravel(), green_sweep(d, grid.ravel())):
+            i = int(np.abs(van_hove - w).argmin())
+            delta = abs(w - van_hove[i])  # exact: w is within a factor 2 of it
+            if not r.converged:
+                assert d == 2 and not r.divergent  # flagged, never a divergence
+                continue
+            if d <= 2:
+                ref = _closed_form(d, w)
+                assert abs(r.value - ref) <= 1e-13 * abs(ref)
+            elif d == 3:
+                law = coeff[i] * math.sqrt(delta)
+                assert abs(abs(r.value - on[i].value) - law) <= 1e-4 * law
+            else:
+                bound = delta * (1.0 - math.log(delta)) + r.abs_error + on[i].abs_error
+                assert abs(r.value - on[i].value) <= bound
+
+
+def test_cubic_band_edges_follow_the_square_root_law():
+    # the band is 3 - |k|^2/2 near k = 0, so the DOS gives
+    # Im G_3(+-(3 - delta)) = -sqrt(2 delta)/(2 pi) (1 + O(delta)): -1.2e-7 at
+    # delta = 2.9e-13, where Im G_3(3) itself is 0
+    edges = np.array([3.0, -3.0])
+    for w in np.concatenate([np.nextafter(edges, 0.0), edges * (1.0 - 2.9e-13 / 3.0)]).tolist():
+        res = green_local(3, w)
+        assert res.converged
+        law = -math.sqrt(2.0 * (3.0 - abs(w))) / (2.0 * math.pi)
+        assert abs(res.value.imag - law) <= res.abs_error
 
 
 def test_sweep_preserves_order_and_handles_divergences():
@@ -127,10 +189,12 @@ def test_sweep_empty():
 def test_sweep_is_bitwise_pointwise(d):
     # more frequencies than one block holds from level 5 on, across every
     # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
-    # among them); d = 40 and 80 form powers up to kbar^80 as plain
-    # products, and at d = 120 the in-band rows are NaN next to the finite
-    # outside-band ones
-    grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), np.arange(-d, d + 1, 2.0)])
+    # among them) and its two neighbouring doubles; d = 40 and 80 form
+    # powers up to kbar^80 as plain products, and at d = 120 the in-band
+    # rows are NaN next to the finite outside-band ones
+    van_hove = np.arange(-d, d + 1, 2.0)
+    grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), van_hove,
+                           np.nextafter(van_hove, math.inf), np.nextafter(van_hove, -math.inf)])
     swept = green_sweep(d, grid)
     assert {r.piece_j for r in swept} == set(range(-1, d + 1))
     assert [repr(r) for r in swept] == [repr(green_local(d, float(w))) for w in grid]
@@ -162,7 +226,7 @@ def test_outside_band_at_d120_matches_laplace_integral(omega):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_sweep_divergence_follows_tail_class(d):
-    # within the snap tolerance of a van Hove point, and just outside it
+    # on a van Hove point, and 5e-14 to 1e-9 from it
     offsets = np.array([0.0, 5e-14, -5e-14, 3e-13, -3e-13, 1e-9])
     grid = (np.arange(-d, d + 1, 2.0)[:, None] + offsets).ravel()
     expected = [tail_class(build_integrand(d, w)).kind is TailKind.DIVERGENT for w in grid]

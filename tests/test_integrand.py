@@ -9,7 +9,6 @@ from latgreen.integrand import coefficient_table, staircase_js
 from latgreen.errors import DomainError
 from latgreen.integrand import (
     TailKind,
-    VAN_HOVE_SNAP_TOL,
     bessel_table,
     build_integrand,
     eval_integrand,
@@ -125,12 +124,15 @@ def test_exponent_bookkeeping():
     assert len(spec.terms) == 5
 
 
-def test_van_hove_snapping():
-    spec = build_integrand(3, 1.0 + 5e-14)
-    assert any(spec.exponents[k] == 0.0 for k in spec.terms)
-    spec = build_integrand(3, 1.0 + 1e-9)
-    assert all(spec.exponents[k] != 0.0 for k in spec.terms)
-    assert VAN_HOVE_SNAP_TOL == 1e-13
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_exponent_vanishes_only_at_an_exact_van_hove_input(d):
+    # each exponent is one rounded difference of omega and a van Hove
+    # frequency, which is 0 only when the two are equal
+    van_hove = np.arange(-d, d + 1, 2.0)
+    grid = np.concatenate([van_hove, np.nextafter(van_hove, math.inf),
+                           np.nextafter(van_hove, -math.inf), van_hove + 5e-14])
+    zero = (term_exponents(d, grid) == 0.0).any(axis=1)
+    assert zero.tolist() == [True] * (d + 1) + [False] * (3 * (d + 1))
 
 
 def test_tail_classification():

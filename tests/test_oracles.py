@@ -3,9 +3,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from latgreen import oracles
 from latgreen.errors import DomainError, TruncationTooCoarseError
 from latgreen.green import dos, green_local
 from latgreen.oracles import (
@@ -88,6 +90,21 @@ def test_laurent_inside_band_raises():
         laurent_green(3, 2.0, 30)
     with pytest.raises(DomainError):
         laurent_green(3, 3.0, 30)
+
+
+def test_chain_closed_forms_keep_their_digits_near_the_band_edges():
+    # 1 - w^2 formed as (1 - w)(1 + w) cancels nothing; 1 - w * w rounds
+    # w * w first, which made a relative error of 2.5e-9 at w = 1 + 1e-8
+    edges = [s * (1.0 + t * 10.0**k) for s in (1, -1) for t in (1, -1) for k in range(-15, 0)]
+    grid = np.concatenate([edges, np.random.default_rng(7).uniform(-3.0, 3.0, 2000)])
+    with mp.workdps(50):
+        for w in grid.tolist():
+            gap = mp.mpf(w) ** 2 - 1
+            ref = mp.sign(w) / mp.sqrt(gap) if gap > 0 else mp.mpc(0, -1 / mp.sqrt(-gap))
+            assert abs(g1_closed_form(w) - complex(ref)) <= 1e-15 * abs(ref)
+            if gap < 0:
+                a1 = oracles._a1(np.array([w]))[0]
+                assert abs(a1 - 1 / (mp.pi * mp.sqrt(-gap))) <= 1e-15 * a1
 
 
 def test_g1_closed_form_values():
@@ -273,23 +290,23 @@ def test_doubling_keeps_no_margin_at_regular_frequencies(d1, d2, w):
 
 @pytest.mark.parametrize("d1, d2, w", [(2, 2, 3.7), (2, 3, 1.1)])
 def test_doubling_keeps_margins_at_singular_frequencies(d1, d2, w):
-    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-8
+    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-13
 
 
 @pytest.mark.parametrize("w", [0.0, 1e-10])
 def test_doubling_with_cuts_closer_than_a_margin(w):
     # at 0 the cuts of one d = 2 factor fall on the other's singular
     # frequencies; at 1e-10 they sit beside them, outside the clearances of
-    # 4e-13, so the subinterval between them is integrated
-    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 2e-8
+    # a few ulps, so the subinterval between them is integrated
+    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 1e-12
 
 
 @pytest.mark.parametrize("w", [1e-13, 3e-13, 5e-13, 1e-12])
 def test_doubling_with_cuts_inside_the_clearance(w):
-    # each cut of one d = 2 factor lies within 4e-13 of a singular frequency
-    # of the other: an end clears both, and at 3e-13 and 5e-13 a cut is no
-    # longer hidden by merging it into the breakpoint beside it
-    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 1e-10
+    # each cut of one d = 2 factor lies 1e-13 to 1e-12 from a singular
+    # frequency of the other, each end keeping its ulp clearance from both,
+    # and no cut is hidden by merging it into the breakpoint beside it
+    assert abs(dos_convolution(2, 2, w) - dos(4, w)) <= 1e-12
 
 
 @pytest.mark.parametrize("d1, d2, w", [
@@ -297,15 +314,15 @@ def test_doubling_with_cuts_inside_the_clearance(w):
 ])
 def test_regular_cut_clears_the_singular_frequency_beside_it(d1, d2, w):
     # a cut of the d >= 3 factor needs no clearance of its own, but as an end
-    # it sits 1e-13 from a singular frequency of the d = 2 factor, inside
-    # that factor's snap zone, and must keep that frequency's clearance
-    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-11
+    # it sits 1e-13 from a singular frequency of the d = 2 factor, and must
+    # keep that frequency's clearance
+    assert abs(dos_convolution(d1, d2, w) - dos(d1 + d2, w)) <= 1e-13
 
 
 @pytest.mark.parametrize("w", [4e-13, 1e-10, 1e-8])
 def test_chain_plus_square_near_the_band_edge(w):
     # the cut at x = 1 - w is a singular frequency of the d = 2 factor; its
-    # clearance is kept in x, so no end falls into the snap zone
+    # clearance is kept in x, so no node falls on the divergence
     got = dos_convolution(1, 2, 1.0 - w)
     assert math.isfinite(got)
     if w >= 1e-10:
@@ -319,10 +336,10 @@ def test_two_chains_at_small_frequency():
 
 
 def test_square_band_integrals_reach_the_clearance():
-    # the d = 2 band integral omits only twice the snap zone at each van
-    # Hove frequency
-    assert abs(dos_normalization(2) - 1.0) <= 1e-11
-    assert abs(dos_moment(2, 1) - 1.0) <= 1e-11
+    # the d = 2 band integral omits only an ulp clearance at each van Hove
+    # frequency
+    assert abs(dos_normalization(2) - 1.0) <= 1e-13
+    assert abs(dos_moment(2, 1) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("w", [0.3, 1.7, -0.9, 0.0])
@@ -335,6 +352,7 @@ def test_lorentz_broadened_square_against_converged_brute_force(w):
 @pytest.mark.parametrize("w", [0.3, 1.7, -0.9])
 def test_lorentz_broadened_chain_against_converged_brute_force(w):
     # the d = 1 band integral runs in x = sin(theta), so the
-    # inverse-square-root edges cost only their 2e-13 clearance in x
+    # inverse-square-root edges cost only their ulp clearance in x, which
+    # omits about 2 sqrt(2 c)/pi = 2.7e-8 of weight at c = 4 eps
     ref = bz_bruteforce(1, w, 0.05, 200_000)
-    assert abs(lorentz_broadened(1, w, 0.05) - ref) <= 5e-6
+    assert abs(lorentz_broadened(1, w, 0.05) - ref) <= 5e-7

@@ -17,9 +17,12 @@ bit.  The inputs, in this order:
 * 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80, 110
   and 120; at d = 110 the weighted terms of the band overflow at the
   smallest head nodes while kbar^d alone does not yet (it does from
-  d ~ 117), so the dump also sees the arithmetic of d = 106..117.
+  d ~ 117), so the dump also sees the arithmetic of d = 106..117;
+* one sweep per d = 1..4 of the van Hove frequencies, then of each moved
+  by 1, 10 and 10^4 ulps and by 1e-13, up, then down: the neighbourhoods
+  where the value follows the local law of its van Hove point.
 
-4,201 records in all.
+4,327 records in all.
 
 ``--limit N`` stops after the first N records.
 
@@ -48,6 +51,7 @@ POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _POINT_SETS = ("points/", "large/")
 _CLI_SWEEPS = ("cli/sweep_d3", "cli/sweep_d20")
 _SWEEP_DIMS = (4, 7, 20, 30, 40, 58, 80, 110, 120)
+_ULPS = (1, 10, 10**4)
 
 # name=value, where a value is a parenthesised complex or runs to the next
 # comma or closing parenthesis
@@ -74,6 +78,23 @@ def inputs():
         yield d, np.linspace(-d - 1.0, d + 1.0, 401).tolist(), QuadratureConfig(rel_tol=1e-10)
     for d in _SWEEP_DIMS:
         yield d, np.linspace(-d - 2.0, d + 2.0, 61).tolist(), tight
+    for d in range(1, 5):
+        yield d, _van_hove_neighbourhood(d), tight
+
+
+def _van_hove_neighbourhood(d: int) -> list[float]:
+    """The van Hove frequencies of d, then each moved by ``_ULPS`` ulps and
+    by 1e-13, up, then down."""
+    van_hove = np.arange(-d, d + 1, 2.0)
+    grid = [van_hove]
+    for toward in (math.inf, -math.inf):
+        x = van_hove
+        for k in range(1, _ULPS[-1] + 1):
+            x = np.nextafter(x, toward)
+            if k in _ULPS:
+                grid.append(x)
+        grid.append(van_hove + math.copysign(1e-13, toward))
+    return np.concatenate(grid).tolist()
 
 
 def records():
