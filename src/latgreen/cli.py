@@ -272,8 +272,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # ValueError (DomainError included): d < 1, non-finite omega, bad
-    # tolerance or --steps; OSError: an --out file that cannot be written
-    except (ValueError, OSError) as exc:
+    # tolerance or --steps; OSError: an --out file that cannot be written;
+    # MemoryError: a --steps grid too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

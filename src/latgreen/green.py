@@ -6,10 +6,12 @@ van Hove frequency) come back as flagged results carrying signed infinities
 instead of raising, so grid sweeps across band edges complete.
 
 There is one evaluation path, ``green_sweep``; ``green_local`` is a sweep
-of length one.  The quadrature nodes depend only on the level and the part
-(head or tail), so the Bessel pair is evaluated once per node set and
-cached, and every frequency of a grid, whatever its piece of the piecewise
-formula, runs through one level loop, its head and its tail as two columns.
+of length one.  The quadrature nodes depend only on the level, so the
+Bessel pair is evaluated once per level, on the head's nodes and then the
+tail's, and cached as one table, of which a part's table is a view.  Every
+frequency of a grid, whatever its piece of the piecewise formula, runs
+through one level loop, its head and its tail as two columns, and each
+level evaluates the parts that a frequency still refines in one call.
 Each result is the same, bit for bit, whatever it is batched with.
 """
 from __future__ import annotations
@@ -68,10 +70,14 @@ def _divergent_value(d: int, omega: float) -> complex:
     return complex(math.copysign(math.inf, omega), 0.0)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per evaluating level and part
-def _bessel_nodes(level: int, tail: bool) -> BesselPair:
+@functools.lru_cache(maxsize=None)  # one entry per evaluating level
+def _bessel_nodes(level: int) -> BesselPair:
+    # the head's pair, then the tail's, each built on its own nodes;
     # read-only, since every caller shares the arrays
-    table = bessel_table(half_line_nodes(level, tail))
+    tau = half_line_nodes(level)
+    head, tail = (bessel_table(nodes) for nodes in np.split(tau, 2))
+    table = BesselPair(kbar=np.concatenate((head.kbar, tail.kbar)),
+                       ibar=np.concatenate((head.ibar, tail.ibar)), tau=tau)
     for arr in vars(table).values():
         arr.flags.writeable = False
     return table
@@ -123,8 +129,8 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
         rows_q = exponents[order]
         weights = np.array([term_weights(d, j) for j in js[order].tolist()])
 
-        def f(level, tail, cols):
-            return eval_terms(d, rows_q[cols], _bessel_nodes(level, tail), weights[cols])
+        def f(level, nodes, cols):
+            return eval_terms(d, rows_q[cols], _bessel_nodes(level)[nodes], weights[cols])
 
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
             results[i] = _result(d, omegas.item(i), int(js[i]), res)

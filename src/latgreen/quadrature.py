@@ -17,20 +17,21 @@ levels with a floor of one ulp; in addition the running L1 sum of sampled
 magnitudes provides a roundoff floor ``~eps * integral(|f|)``, which is what
 limits attainable accuracy for the strongly cancelling large-d integrands.
 
-The stop tests start at level 2, so every column evaluates levels 0, 1
-and 2.  The first step of the loop therefore evaluates their 49 nodes
-(13 + 12 + 24) in one call, and each later level its new nodes in one
-call.  Each level is still summed on its own slice of nodes, in level
-order, so no sum depends on how its nodes were grouped into calls.
+One level loop serves many integrals at once, one column per part of
+each (a frequency grid; an integral over (0, 1) has one part; the head and
+the tail of a half-line integral are two).  The stop tests start at level
+2, so every column evaluates levels 0, 1 and 2.  The first step of the
+loop therefore evaluates their 49 nodes (13 + 12 + 24), and each later
+level its new nodes, in one integrand call per block of integrals that
+still refine the same parts, on the nodes of all of those parts at once.
+Each part is still summed on its own slice of nodes, level by level in
+level order, so no sum depends on how its nodes were grouped into calls.
 
-One level loop serves many integrals at once, one column each (a frequency
-grid; a single integral is one column; the head and the tail of a half-line
-integral are two).  Each column stops on its own: by the rule above; when
-its floor exceeds its tolerance and its error is within 100 floors, since
-it can then only end nonconverged and further levels sample roundoff noise;
-or as soon as its sums, or those of another part of the same integral,
-are not finite, in which case it comes back nonconverged with an infinite
-error estimate.
+Each column stops on its own: by the rule above; when its floor exceeds
+its tolerance and its error is within 100 floors, since it can then only
+end nonconverged and further levels sample roundoff noise; or as soon as
+its sums, or those of another part of the same integral, are not finite,
+in which case it comes back nonconverged with an infinite error estimate.
 """
 from __future__ import annotations
 
@@ -153,30 +154,63 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
-    """Run the level loop for n integrals over (0, 1) of each integrand
-    family in ``parts`` at once, one column each.
+def _groups(cols: np.ndarray, n: int):
+    """Group the integrals whose columns ``cols`` still refine by the parts
+    they refine: (order, [(sel, integrals, start), ...]), ``sel`` being
+    those parts in ascending order.
 
-    Column p*n + i is integral i of part p, whose
-    ``g(level, alpha, alphac, cols)`` returns the integrands ``cols`` (one
-    row each) at the nodes that ``_ts_nodes(level)`` evaluates; no block of
-    columns spans two parts.  The first step, level 0, evaluates the nodes
-    of levels 0, 1 and 2 in one ``g`` call per block, and levels 1 and 2
-    only sum their slices of it; every later level makes its own call.  So
-    a part whose columns stop at level L >= 2 makes L - 1 calls per block,
-    and a column that stops earlier, on a non-finite sum, reports the 49
+    After ``cols[order]`` a group's columns run from ``start``, part by
+    part, each part's in the order of its integrals.
+    """
+    if n == 1:  # one integral, its columns already in order
+        return slice(None), [(tuple(cols.tolist()), np.zeros(1, dtype=int), 0)]
+    part, integral = np.divmod(cols, n)
+    # bit p of key: the column's integral still refines part p
+    key = np.bincount(integral, 2.0**part, n).astype(int)[integral]
+    order = np.lexsort((cols, key))
+    groups, start = [], 0
+    for k, size in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
+        sel = tuple(p for p in range(k.bit_length()) if k >> p & 1)
+        groups.append((sel, integral[order[start:start + size // len(sel)]], start))
+        start += size
+    return order, groups
+
+
+def _tanh_sinh(f, parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
+    """Run the level loop for n integrals over (0, 1) at once, each the sum
+    of ``len(parts)`` parts, one column per part of each integral.
+
+    Column p*n + i is part p of integral i.  ``f(level, alpha, alphac, sel,
+    ints)`` returns the integrands of the integrals ``ints`` (one row each)
+    on the parts ``sel`` (ascending): row r holds part sel[0] of integral
+    ints[r] at the nodes that ``_ts_nodes(level)`` evaluates, then part
+    sel[1] at the same nodes, and so on.  ``parts[p](vals, alpha)`` turns
+    part p's slice of a row into its integrand over (0, 1).
+
+    Each evaluating level makes one ``f`` call per block of integrals that
+    still refine the same parts, on all of those parts at once; each part
+    is then weighted, summed on its own level slices and stopped as its
+    own column, so a column's sums do not depend on the calls its nodes
+    were evaluated in.  The first step, level 0, evaluates the nodes of
+    levels 0, 1 and 2 in one call, and levels 1 and 2 only sum their
+    slices of it; every later level makes its own.  So an integral whose
+    parts stop at levels L1 <= L2 makes L2 - 1 calls per block, and a
+    column that stops earlier, on a non-finite sum, reports the 49
     evaluations of the first step.  Each column stops on its own: when it
     meets the stop rule, when its error can no longer fall below the
     tolerance, or when its sums stop being finite.  Since a non-finite part
     makes the whole integral non-finite, every part of integral i still
     refining stops with it, at the same level, and is reported non-finite.
     """
-    n_cols = len(parts) * n
+    n_parts = len(parts)
+    n_cols = n_parts * n
     # per column: value, error, roundoff floor and evaluations at its stop
     value, err, floor = np.empty(n_cols, dtype=complex), np.empty(n_cols), np.empty(n_cols)
     evals, finite = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=bool)
-    # running state of the columns still refining, in the order of ``cols``
+    # running state of the columns still refining, in the order of ``cols``,
+    # which keeps each group's columns together (see _groups)
     cols = np.arange(n_cols)
+    groups = [(tuple(range(n_parts)), np.arange(n), 0)]
     total, l1 = np.zeros(n_cols, dtype=complex), np.zeros(n_cols)
     e = np.full(n_cols, math.inf)
     count = 0
@@ -186,19 +220,23 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
                 # sums[k] and l1s[k]: each column's weighted sum and L1 sum
                 # over the nodes of level ``level + k``
                 alpha, alphac, w, ends = _ts_nodes(level)
+                size = alpha.size
                 sums = np.empty((len(ends), cols.size), dtype=complex)
                 l1s = np.empty((len(ends), cols.size))
-                step = max(1, _BLOCK_ELEMENTS // alpha.size)
-                for p, g in enumerate(parts):
-                    lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
-                    for i in range(lo, hi, step):
-                        block = slice(i, min(i + step, hi))
-                        vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
-                        mags = np.abs(vals)
-                        for k, (a, b) in enumerate(zip((0, *ends), ends)):
-                            sums[k, block] = vals[:, a:b].sum(axis=1)
-                            l1s[k, block] = mags[:, a:b].sum(axis=1)
-                count += alpha.size
+                for sel, ints, start in groups:
+                    m = ints.size
+                    step = max(1, _BLOCK_ELEMENTS // (len(sel) * size))
+                    for i in range(0, m, step):
+                        j = min(i + step, m)
+                        rows = np.atleast_2d(f(level, alpha, alphac, sel, ints[i:j]))
+                        for q, p in enumerate(sel):
+                            vals = w * parts[p](rows[:, q * size:(q + 1) * size], alpha)
+                            mags = np.abs(vals)
+                            block = slice(start + q * m + i, start + q * m + j)
+                            for k, (a, b) in enumerate(zip((0, *ends), ends)):
+                                sums[k, block] = vals[:, a:b].sum(axis=1)
+                                l1s[k, block] = mags[:, a:b].sum(axis=1)
+                count += size
                 first = level
             total += sums[level - first]
             l1 += l1s[level - first]
@@ -232,11 +270,13 @@ def _tanh_sinh(parts, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
                 value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
                 floor[done] = 2.0 * _EPS * h * l1[stop]
                 evals[done] = count
-                keep = ~stop
+                keep = np.flatnonzero(~stop)
+                if keep.size == 0:
+                    break
+                order, groups = _groups(cols[keep], n)
+                keep = keep[order]
                 cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
                 sums, l1s = sums[:, keep], l1s[:, keep]
-                if cols.size == 0:
-                    break
             prev = v
         est = np.maximum(np.maximum(np.where(np.isfinite(err), err, 0.0), floor),
                          _EPS * _cabs(value))
@@ -272,38 +312,43 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
     b = check_real("b", b, a, strict=True)
     span = b - a
 
-    def g(level, alpha, alphac, cols):
-        x = np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)
-        return span * np.asarray(f(x))
+    def g(level, alpha, alphac, sel, cols):
+        return f(np.where(alpha <= 0.5, a + span * alpha, b - span * alphac))
 
-    return _tanh_sinh((g,), 1, cfg)[0]
+    return _tanh_sinh(g, (lambda vals, alpha: span * vals,), 1, cfg)[0]
 
 
-def half_line_nodes(level: int, tail: bool) -> np.ndarray:
+def half_line_nodes(level: int) -> np.ndarray:
     """The nodes tau that the level loop evaluates at ``level`` (see
-    ``_ts_nodes``) on the head (0, s] or the tail [s, inf)."""
+    ``_ts_nodes``), one per node alpha on the head (0, s], then one per
+    node on the tail [s, inf): the head's table is the first half, the
+    tail's the second."""
     alpha = _ts_nodes(level)[0]
-    return _SPLIT / alpha if tail else _SPLIT * alpha
+    return np.concatenate((_SPLIT * alpha, _SPLIT / alpha))
 
 
 def integrate_half_line(f, n: int, cfg: QuadratureConfig) -> list[QuadratureResult]:
     """Integrals over (0, inf) of n integrands with integrable tails at once.
 
-    ``f(level, tail, cols)`` returns the integrands ``cols`` (one row each)
-    at ``half_line_nodes(level, tail)``.  The head and the tail of integral
-    i are columns i and n + i of one level loop, each with its own stop;
-    the result is the sum of the two.
+    ``f(level, nodes, cols)`` returns the integrands ``cols`` (one row each)
+    at ``half_line_nodes(level)[nodes]``, where the slice ``nodes`` is the
+    head's half of the table, the tail's or the whole.  The head and the
+    tail of integral i are columns i and n + i of one level loop, each with
+    its own stop, and each level evaluates the parts that integral i still
+    refines in one call; the result is the sum of the two.
     """
-    def g_head(level, alpha, alphac, cols):
-        return _SPLIT * np.asarray(f(level, False, cols))
+    def g(level, alpha, alphac, sel, cols):
+        return f(level, slice(sel[0] * alpha.size, (sel[-1] + 1) * alpha.size), cols)
+
+    def head(vals, alpha):
+        return _SPLIT * vals
 
     # tau = s/u maps [s, inf) to (0, 1]; evaluated as (f*tau)/u to keep
     # every intermediate in range.
-    def g_tail(level, alpha, alphac, cols):
-        tau = _SPLIT / alpha
-        return (np.asarray(f(level, True, cols)) * tau) / alpha
+    def tail(vals, alpha):
+        return (vals * (_SPLIT / alpha)) / alpha
 
-    parts = _tanh_sinh((g_head, g_tail), n, cfg)
+    parts = _tanh_sinh(g, (head, tail), n, cfg)
     return [_combine(h, t) for h, t in zip(parts[:n], parts[n:])]
 
 
@@ -314,4 +359,4 @@ def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> Quadrature
     """
     cfg = cfg or QuadratureConfig()
     return integrate_half_line(
-        lambda level, part, cols: f(half_line_nodes(level, part)), 1, cfg)[0]
+        lambda level, nodes, cols: f(half_line_nodes(level)[nodes]), 1, cfg)[0]

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen import quadrature
+from latgreen import green, integrand, quadrature
 from latgreen.errors import DomainError
 from latgreen.green import (
     VAN_HOVE_ADJACENT_TOL,
@@ -15,9 +15,9 @@ from latgreen.green import (
     green_local,
     green_sweep,
 )
-from latgreen.integrand import TailKind, build_integrand, tail_class
+from latgreen.integrand import TailKind, bessel_table, build_integrand, tail_class
 from latgreen.oracles import laurent_green, laurent_truncation_bound
-from latgreen.quadrature import QuadratureConfig
+from latgreen.quadrature import QuadratureConfig, half_line_nodes
 
 from reference_values import G3_ZERO_IMAG
 
@@ -247,6 +247,42 @@ def test_head_and_tail_keep_their_own_stops(monkeypatch, d, omega, head, tail):
     assert res.converged
     assert [p.evaluations for p in parts[0]] == [head, tail]
     assert res.evaluations == head + tail
+
+
+@pytest.mark.parametrize("d, omega, calls", [
+    (3, 0.5, 4), (1, 0.9999999984289644, 7), (40, 45.0, 4), (120, 0.0, 1),
+])
+def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
+    # each level evaluates the head and the tail that still refine in one
+    # call, on a read-only view of the level's Bessel table: the head and
+    # tail of (3, 0.5) stop at levels 4 and 5 (195 and 389 evaluations),
+    # so levels 0, 3, 4 and 5 make one call each
+    tables = []
+
+    def eval_terms(d, exponents, table, weights):
+        tables.append(table)
+        return integrand.eval_terms(d, exponents, table, weights)
+
+    monkeypatch.setattr(green, "eval_terms", eval_terms)
+    green_local(d, omega)
+    assert len(tables) == calls
+    for table in tables:
+        for name, arr in vars(table).items():
+            assert not arr.flags.writeable
+            assert any(np.shares_memory(arr, getattr(green._bessel_nodes(level), name))
+                       for level in (0, *range(3, 13)))
+
+
+def test_a_parts_bessel_table_is_a_view_of_its_levels():
+    # one cached table per level, the head's pair then the tail's, each
+    # with the bits of the pair built on its own nodes
+    table = green._bessel_nodes(4)
+    head, tail = np.split(half_line_nodes(4), 2)
+    for nodes, tau in ((slice(0, head.size), head), (slice(head.size, None), tail)):
+        part, ref = table[nodes], bessel_table(tau)
+        for name, arr in vars(part).items():
+            assert np.shares_memory(arr, getattr(table, name)) and not arr.flags.writeable
+            assert arr.tobytes() == getattr(ref, name).tobytes()
 
 
 def test_piece_beyond_the_double_range_raises_domain_error():

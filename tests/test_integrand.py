@@ -222,8 +222,11 @@ def test_mixed_block_is_bitwise_per_piece(d):
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
     weights = np.array([term_weights(d, j) for j in js.tolist()])
-    for tau in (half_line_nodes(0, True), half_line_nodes(4, False),
-                half_line_nodes(4, True), half_line_nodes(8, True)):
+    # the tail of the first step, the head and tail of level 4 and both
+    # at once, and the tail of level 8
+    head4, tail4 = np.split(half_line_nodes(4), 2)
+    for tau in (np.split(half_line_nodes(0), 2)[1], head4, tail4, half_line_nodes(4),
+                np.split(half_line_nodes(8), 2)[1]):
         table = bessel_table(tau)
         got = eval_terms(d, term_exponents(d, omegas), table, weights)
         for j in set(js.tolist()):

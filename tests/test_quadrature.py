@@ -1,4 +1,5 @@
 """Known-integral and configuration tests for the double-exponential rules."""
+import cmath
 import dataclasses
 import functools
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from latgreen.bessel import k0e
+from latgreen.bessel import BesselPair, k0e
 from latgreen.errors import DomainError
 from latgreen.integrand import bessel_table
 from latgreen import green, quadrature
@@ -233,10 +234,10 @@ def test_every_level_node_lies_inside_with_positive_weight():
         assert (alpha > 0).all() and (alphac > 0).all() and (w > 0).all()
 
 
-def _tanh_sinh_reference(parts, n, cfg):
-    """The level loop with one ``g`` call per level, levels 0, 1 and 2
-    included: the loop that the first step replaced, kept as the bitwise
-    reference for it."""
+def _tanh_sinh_reference(f, parts, n, cfg):
+    """The level loop with one ``f`` call per level and part, levels 0, 1
+    and 2 included: the loop that the first step and the merged parts
+    replaced, kept as the bitwise reference for them."""
     _EPS, _BASE_H, _cabs = quadrature._EPS, quadrature._BASE_H, quadrature._cabs
     n_cols = len(parts) * n
     value, err, floor = np.empty(n_cols, dtype=complex), np.empty(n_cols), np.empty(n_cols)
@@ -253,7 +254,8 @@ def _tanh_sinh_reference(parts, n, cfg):
                 lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
                 for i in range(lo, hi, step):
                     block = slice(i, min(i + step, hi))
-                    vals = w * np.atleast_2d(g(level, alpha, alphac, cols[block] - p * n))
+                    rows = np.atleast_2d(f(level, alpha, alphac, (p,), cols[block] - p * n))
+                    vals = w * g(rows, alpha)
                     total[block] += vals.sum(axis=1)
                     l1[block] += np.abs(vals).sum(axis=1)
             count += alpha.size
@@ -292,11 +294,15 @@ def _tanh_sinh_reference(parts, n, cfg):
 
 def _run_reference(monkeypatch, fn):
     # fn() run by the per-level loop, with the Bessel tables of sweeps on
-    # the nodes of single levels
+    # the nodes of single levels, head then tail
     @functools.lru_cache(maxsize=None)
-    def bessel_nodes(level, tail):
+    def bessel_nodes(level):
         alpha = _per_level_nodes(level)[0]
-        return bessel_table(quadrature._SPLIT / alpha if tail else quadrature._SPLIT * alpha)
+        head, tail = (bessel_table(tau) for tau in
+                      (quadrature._SPLIT * alpha, quadrature._SPLIT / alpha))
+        return BesselPair(kbar=np.concatenate((head.kbar, tail.kbar)),
+                          ibar=np.concatenate((head.ibar, tail.ibar)),
+                          tau=np.concatenate((head.tau, tail.tau)))
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_tanh_sinh", _tanh_sinh_reference)
@@ -304,18 +310,33 @@ def _run_reference(monkeypatch, fn):
         return fn()
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", [*range(1, 8), 8, 20, 40, 120])
 def test_first_step_is_bitwise_the_per_level_loop_for_sweeps(monkeypatch, d):
-    # the band interior, every van Hove point (the d = 1, 2 divergences
-    # among them) and offsets from it on both sides, and outside the band
+    # the band interior, van Hove points (each one up to d = 7, the d = 1, 2
+    # divergences among them; from d = 8 on the band edges, their
+    # neighbours and the centre) and offsets from them on both sides, and
+    # outside the band
     van_hove = np.arange(-d, d + 1, 2.0)
+    if d > 7:
+        van_hove = van_hove[[0, 1, d // 2, -2, -1]]
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3])
     grid = np.concatenate([np.linspace(-d - 1.5, d + 1.5, 37),
                            (van_hove[:, None] + offsets).ravel()])
     got = green_sweep(d, grid)
     ref = _run_reference(monkeypatch, lambda: green_sweep(d, grid))
+    # at d = 120 the band's terms overflow at the smallest head nodes, and
+    # every in-band value is NaN and flagged; the first step evaluates 49
+    # nodes of each part, and the tail stops with its head, where the
+    # per-level loop stops the head after level 0 and refines the tail on
+    nan = [i for i, r in enumerate(got) if cmath.isnan(r.value)]
+    assert bool(nan) == (d == 120)
+    for i in nan:
+        assert not got[i].converged and got[i].evaluations == 98
+        ref[i] = dataclasses.replace(ref[i], evaluations=98)
     assert [repr(r) for r in got] == [repr(r) for r in ref]
-    assert any(not r.converged for r in got) == (d <= 2)
+    # the d <= 2 divergences, and from d = 8 on the in-band failures of
+    # the imaginary-axis contour, all flagged
+    assert any(not r.converged for r in got) == (d <= 2 or d > 7)
 
 
 @pytest.mark.parametrize("f, a, b, cfg", [
@@ -349,22 +370,51 @@ def _stop_level(evaluations):
     return level
 
 
-def test_a_part_that_stops_at_level_l_makes_l_minus_1_calls():
-    # a smooth part stops early, a kink late; each counts its own calls
-    calls = {"smooth": 0, "kink": 0}
+def _unscaled(vals, alpha):
+    return vals
 
-    def part(name, f):
-        def g(level, alpha, alphac, cols):
-            calls[name] += 1
-            return np.tile(f(alpha), (len(cols), 1))
-        return g
 
-    smooth, kink = quadrature._tanh_sinh(
-        (part("smooth", np.exp), part("kink", lambda x: np.abs(x - 0.3) ** 0.5)),
-        1, QuadratureConfig(max_levels=9))
-    levels = {"smooth": _stop_level(smooth.evaluations), "kink": _stop_level(kink.evaluations)}
-    assert levels["smooth"] < levels["kink"]
-    assert calls == {name: level - 1 for name, level in levels.items()}
+def _integrands(table):
+    # f for _tanh_sinh: part p of integral i is table[i][p] on (0, 1)
+    calls = []
+
+    def f(level, alpha, alphac, sel, ints):
+        calls.append(sel)
+        return np.array([np.concatenate([table[i][p](alpha) for p in sel]) for i in ints])
+    return f, calls
+
+
+def test_an_integral_whose_parts_stop_at_l1_l2_makes_l2_minus_1_calls():
+    # a smooth part stops early, a kink late: while both refine, each level
+    # evaluates them in one call, then the kink alone; each part stops
+    # where it stops on its own, with the same bits
+    smooth, kink = np.exp, lambda x: np.abs(x - 0.3) ** 0.5
+    cfg = QuadratureConfig(max_levels=9)
+    f, calls = _integrands([(smooth, kink)])
+    both = quadrature._tanh_sinh(f, (_unscaled, _unscaled), 1, cfg)
+    l1, l2 = (_stop_level(res.evaluations) for res in both)
+    assert l1 < l2
+    assert calls == [(0, 1)] * (l1 - 1) + [(1,)] * (l2 - l1)
+    for g, res in zip((smooth, kink), both):
+        alone = quadrature._tanh_sinh(_integrands([(g,)])[0], (_unscaled,), 1, cfg)
+        assert alone == [res]
+
+
+def test_integrals_group_by_the_parts_they_still_refine():
+    # three parts that stop at different levels split the integrals into
+    # groups, (0, 2) among them, whose parts are not adjacent; every column
+    # is bit for bit the column run alone
+    smooth, poly = np.exp, lambda x: 3.0 * x**2
+    kink, bend = lambda x: np.abs(x - 0.3) ** 0.5, lambda x: np.abs(x - 0.7) ** 1.5
+    table = [(kink, smooth, bend), (smooth, kink, smooth), (poly, poly, kink),
+             (bend, bend, bend), (kink, smooth, bend)]
+    cfg = QuadratureConfig(max_levels=8)
+    f, calls = _integrands(table)
+    got = quadrature._tanh_sinh(f, (_unscaled,) * 3, len(table), cfg)
+    assert {(0, 2), (1,), (2,)} <= set(calls)
+    alone = [quadrature._tanh_sinh(_integrands([(g,)])[0], (_unscaled,), 1, cfg)[0]
+             for part in zip(*table) for g in part]
+    assert got == alone
 
 
 def test_non_finite_first_level_reports_the_first_step(monkeypatch):
@@ -392,10 +442,11 @@ def test_a_non_finite_head_stops_its_tail_at_once(monkeypatch):
     calls = []
 
     def integrand(head):
-        def f(level, tail, cols):
-            calls.append((level, tail))
-            tau = quadrature.half_line_nodes(level, tail)
-            row = np.exp(-tau) * np.cos(3.0 * tau) if tail else head(tau)
+        def f(level, nodes, cols):
+            calls.append((level, nodes))
+            # the head's nodes lie in (0, 1), the tail's in (1, inf)
+            tau = quadrature.half_line_nodes(level)[nodes]
+            row = np.where(tau > 1.0, np.exp(-tau) * np.cos(3.0 * tau), head(tau))
             return np.tile(row, (len(cols), 1))
         return f
 
@@ -404,10 +455,13 @@ def test_a_non_finite_head_stops_its_tail_at_once(monkeypatch):
     monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
     cfg = QuadratureConfig()
     finite_head = quadrature.integrate_half_line(integrand(np.exp), 1, cfg)[0]
-    assert finite_head.converged and max(level for level, tail in calls if tail) > 2
+    tail_levels = [level for level, nodes in calls
+                   if nodes.stop == quadrature.half_line_nodes(level).size]
+    assert finite_head.converged and max(tail_levels) > 2
     calls.clear()
     res = quadrature.integrate_half_line(integrand(lambda t: np.full(t.shape, math.nan)), 1, cfg)[0]
-    assert calls == [(0, False), (0, True)]
+    # one call, on the head and the tail at once
+    assert calls == [(0, slice(0, 98))]
     assert not res.converged and res.abs_error_estimate == math.inf and res.evaluations == 98
     for part in parts[-1]:
         assert not part.converged and part.abs_error_estimate == math.inf
