@@ -162,17 +162,16 @@ def _groups(cols: np.ndarray, n: int):
     After ``cols[order]`` a group's columns run from ``start``, part by
     part, each part's in the order of its integrals.
     """
-    if n == 1:  # one integral, its columns already in order
-        return slice(None), [(tuple(cols.tolist()), np.zeros(1, dtype=int), 0)]
     part, integral = np.divmod(cols, n)
     # bit p of key: the column's integral still refines part p
     key = np.bincount(integral, 2.0**part, n).astype(int)[integral]
     order = np.lexsort((cols, key))
     groups, start = [], 0
-    for k, size in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
-        sel = tuple(p for p in range(k.bit_length()) if k >> p & 1)
-        groups.append((sel, integral[order[start:start + size // len(sel)]], start))
-        start += size
+    for k, size in enumerate(np.bincount(key).tolist()):
+        if size:
+            sel = tuple(p for p in range(k.bit_length()) if k >> p & 1)
+            groups.append((sel, integral[order[start:start + size // len(sel)]], start))
+            start += size
     return order, groups
 
 

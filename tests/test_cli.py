@@ -150,8 +150,9 @@ def test_malformed_flags_exit_one(capsys):
     # an infinite end, and finite ends whose span overflows
     ["sweep", "--d", "3", "--omega-min", "0", "--omega-max", "inf", "--steps", "3"],
     ["sweep", "--d", "3", "--omega-min=-1.7e308", "--omega-max=1.7e308", "--steps", "3"],
-    # a grid numpy refuses to allocate (80 TB), without allocating it
-    ["sweep", "--d", "3", "--omega-min", "0", "--omega-max", "1", "--steps", "10000000000000"],
+    # a grid larger than any 64-bit address space (800 PB): refused under
+    # every overcommit policy, with nothing allocated
+    ["sweep", "--d", "3", "--omega-min", "0", "--omega-max", "1", "--steps", "100000000000000000"],
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess
