@@ -124,11 +124,6 @@ class BesselPair:
     ibar: np.ndarray
     tau: np.ndarray
 
-    def __getitem__(self, nodes) -> "BesselPair":
-        """The pair at the nodes ``tau[nodes]``; for a slice, views of
-        these arrays."""
-        return BesselPair(self.kbar[nodes], self.ibar[nodes], self.tau[nodes])
-
 
 def _horner(coeffs, x):
     s = 0.0

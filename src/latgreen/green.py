@@ -7,12 +7,16 @@ instead of raising, so grid sweeps across band edges complete.
 
 There is one evaluation path, ``green_sweep``; ``green_local`` is a sweep
 of length one.  The quadrature nodes depend only on the level, so the
-Bessel pair is evaluated once per level, on the head's nodes and then the
-tail's, and cached as one table, of which a part's table is a view.  Every
-frequency of a grid, whatever its piece of the piecewise formula, runs
-through one level loop, its head and its tail as two columns, and each
-level evaluates the parts that a frequency still refines in one call.
-Each result is the same, bit for bit, whatever it is batched with.
+Bessel pair is evaluated once per level and cached as one table.  Every
+frequency of a grid, whatever its piece of the piecewise formula, is one
+column of one level loop over (0, inf), and each level evaluates the
+frequencies still refining in one call.  Each result is the same, bit for
+bit, whatever it is batched with.
+
+The error estimate covers the integrand's own rounding, d-fold products
+of the Bessel pair: its roundoff floor is max(2, d/4) eps times the L1
+sum, which moves no stop.  Outside the band the measured error is below
+d/8 eps relative at d = 40 to 1,023 (30-digit mpmath, 1.6d <= |omega| <= 4d).
 """
 from __future__ import annotations
 
@@ -72,12 +76,8 @@ def _divergent_value(d: int, omega: float) -> complex:
 
 @functools.lru_cache(maxsize=None)  # one entry per evaluating level
 def _bessel_nodes(level: int) -> BesselPair:
-    # the head's pair, then the tail's, each built on its own nodes;
     # read-only, since every caller shares the arrays
-    tau = half_line_nodes(level)
-    head, tail = (bessel_table(nodes) for nodes in np.split(tau, 2))
-    table = BesselPair(kbar=np.concatenate((head.kbar, tail.kbar)),
-                       ibar=np.concatenate((head.ibar, tail.ibar)), tau=tau)
+    table = bessel_table(half_line_nodes(level))
     for arr in vars(table).values():
         arr.flags.writeable = False
     return table
@@ -129,10 +129,11 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
         rows_q = exponents[order]
         weights = np.array([term_weights(d, j) for j in js[order].tolist()])
 
-        def f(level, nodes, cols):
-            return eval_terms(d, rows_q[cols], _bessel_nodes(level)[nodes], weights[cols])
+        def f(level, cols):
+            return eval_terms(d, rows_q[cols], _bessel_nodes(level), weights[cols])
 
-        for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg)):
+        roundoff = max(2.0, d / 4)
+        for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg, roundoff)):
             results[i] = _result(d, omegas.item(i), int(js[i]), res)
     return results
 

@@ -17,9 +17,9 @@ turns into one exact signed integer weight w per term.  A piece has
 is odd.  Inside the band (0 <= j <= d-1) the d+1 slots C m = 0..j and
 D m = 0..d-j-1 are nonzero; outside it (j = -1 or j = d) only the m = d
 one is, and the integrand is the single term +-I0(tau)^d e^{-|omega| tau}.
-``admit`` is the one way in: it checks d and the frequencies by the input
-rule and gives each frequency's piece and slot exponents, to a point
-(``build_integrand``) and a sweep alike.
+``admit`` is the one way in: it checks d (1 <= d <= 1,023, see below) and
+the frequencies by the input rule and gives each frequency's piece and
+slot exponents, to a point (``build_integrand``) and a sweep alike.
 
 Writing K = kbar e^{-tau} and I = ibar e^{+tau}, each product
 K^{d-m} I^m e^{-/+ omega tau} collapses to kbar^{d-m} ibar^m e^{q tau} with a
@@ -33,7 +33,7 @@ omega, and since rounding is monotone and x - y is 0 only when x == y, the
 rounded q keeps its sign, and is exactly 0 only at an exact van Hove input.
 
 That product has a limit at large d.  As tau -> 0, ibar -> 2 while kbar
-grows like (2/pi)|ln tau|, to about 437 at the smallest head node
+grows like (2/pi)|ln tau|, to about 437 at the smallest node
 (tau ~ 1e-298), so kbar^d alone exceeds the double range there from
 d ~ 117 on, and the weighted terms of the band centre already from
 d ~ 106.  No other form of the term can help: since q <= 0, e^{q tau} <= 1
@@ -41,7 +41,9 @@ cannot bring an overflowed power back into range, and where the power
 overflows |q tau| is below one ulp of 1, so exp(log power + q tau)
 overflows at exactly the same nodes.  Such a term shows as a non-finite
 value, and the quadrature flags the result.  Outside the band the one
-term left, ibar^d e^{q tau}, stays finite at any d.
+term left, ibar^d e^{q tau}, stays finite up to d = 1,023: ibar^d tends
+to 2^d as tau -> 0, which leaves the double range from d = 1,024 on,
+before the 1/2^d scale, so ``admit`` refuses d > 1,023.
 
 Only q depends on omega.  The weights are ``coefficient_table``'s as
 floats (``term_weights``); every piece of d <= 652 can be formed, and from
@@ -174,8 +176,9 @@ def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
 def admit(d: int, omegas) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(d, omegas, js, exponents): d and the frequencies checked once by the
     input rule (``errors.check_integer``, ``errors.check_reals``), with the
-    piece (``staircase_js``) and slot exponents (``term_exponents``) of each."""
-    d = check_integer("d", d, 1)
+    piece (``staircase_js``) and slot exponents (``term_exponents``) of each.
+    d is at most 1,023, the largest d for which 2^d is a double."""
+    d = check_integer("d", d, 1, 1023)
     omegas = check_reals("omega", omegas)
     return d, omegas, staircase_js(d, omegas), term_exponents(d, omegas)
 

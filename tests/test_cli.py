@@ -153,6 +153,8 @@ def test_malformed_flags_exit_one(capsys):
     # a grid larger than any 64-bit address space (800 PB): refused under
     # every overcommit policy, with nothing allocated
     ["sweep", "--d", "3", "--omega-min", "0", "--omega-max", "1", "--steps", "100000000000000000"],
+    # 2^d leaves the double range: d is at most 1,023
+    ["eval", "--d", "1024", "--omega", "2048"],
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen import green, integrand, quadrature
+from latgreen import green, integrand
 from latgreen.errors import DomainError
 from latgreen.green import (
     VAN_HOVE_ADJACENT_TOL,
@@ -212,14 +212,17 @@ def test_outside_band_at_d120_matches_laurent(omega):
     assert repr(green_sweep(120, [omega, -omega])[0]) == repr(res)
 
 
-@pytest.mark.parametrize("omega", [122.0, -122.0])
-def test_outside_band_at_d120_matches_laplace_integral(omega):
+@pytest.mark.parametrize("d, omega", [
+    (120, 122.0), (120, -122.0), (300, 480.0), (300, -480.0), (652, 1043.2), (1023, 2046.0),
+])
+def test_outside_band_matches_laplace_integral(d, omega):
     # for |omega| > d, G_d(omega) = sign(omega) int_0^inf e^{-|omega| tau}
-    # I0(tau)^d dtau, here at 30 digits
+    # I0(tau)^d dtau, here at 30 digits; the estimate must cover the
+    # integrand's d-fold rounding, which grows with d
     with mp.workdps(30):
-        integral = mp.quad(lambda t: mp.exp(-abs(omega) * t) * mp.besseli(0, t) ** 120,
-                           [0, 1, 10, mp.inf])
-    res = green_local(120, omega)
+        integral = mp.quad(lambda t: mp.exp(d * mp.log(mp.besseli(0, t)) - abs(omega) * t),
+                           [0, 0.01, 0.05, 0.3, 1, 5, mp.inf])
+    res = green_local(d, omega)
     assert res.converged
     assert abs(res.value - math.copysign(float(integral), omega)) <= res.abs_error
 
@@ -234,29 +237,13 @@ def test_sweep_divergence_follows_tail_class(d):
     assert any(expected) == (d <= 2)
 
 
-@pytest.mark.parametrize("d, omega, head, tail", [
-    (3, 0.5, 195, 389), (1, 0.9999999984289644, 195, 3113), (40, 45.0, 389, 49),
-])
-def test_head_and_tail_keep_their_own_stops(monkeypatch, d, omega, head, tail):
-    # head and tail share one level loop but stop at their own levels, so
-    # the evaluation counts are those of two separate loops
-    parts = []
-    combine = quadrature._combine
-    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
-    res = green_local(d, omega)
-    assert res.converged
-    assert [p.evaluations for p in parts[0]] == [head, tail]
-    assert res.evaluations == head + tail
-
-
 @pytest.mark.parametrize("d, omega, calls", [
     (3, 0.5, 4), (1, 0.9999999984289644, 7), (40, 45.0, 4), (120, 0.0, 1),
 ])
 def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
-    # each level evaluates the head and the tail that still refine in one
-    # call, on a read-only view of the level's Bessel table: the head and
-    # tail of (3, 0.5) stop at levels 4 and 5 (195 and 389 evaluations),
-    # so levels 0, 3, 4 and 5 make one call each
+    # each level evaluates the frequencies that still refine in one call,
+    # on the level's cached Bessel table: (3, 0.5) stops at level 5
+    # (389 evaluations), so levels 0, 3, 4 and 5 make one call each
     tables = []
 
     def eval_terms(d, exponents, table, weights):
@@ -267,21 +254,16 @@ def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
     green_local(d, omega)
     assert len(tables) == calls
     for table in tables:
+        assert any(table is green._bessel_nodes(level) for level in (0, *range(3, 13)))
+
+
+def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
+    # one cached table per level, with the bits of the pair built on the
+    # level's nodes, read-only since every caller shares it
+    for level in (0, 4):
+        table, ref = green._bessel_nodes(level), bessel_table(half_line_nodes(level))
         for name, arr in vars(table).items():
             assert not arr.flags.writeable
-            assert any(np.shares_memory(arr, getattr(green._bessel_nodes(level), name))
-                       for level in (0, *range(3, 13)))
-
-
-def test_a_parts_bessel_table_is_a_view_of_its_levels():
-    # one cached table per level, the head's pair then the tail's, each
-    # with the bits of the pair built on its own nodes
-    table = green._bessel_nodes(4)
-    head, tail = np.split(half_line_nodes(4), 2)
-    for nodes, tau in ((slice(0, head.size), head), (slice(head.size, None), tail)):
-        part, ref = table[nodes], bessel_table(tau)
-        for name, arr in vars(part).items():
-            assert np.shares_memory(arr, getattr(table, name)) and not arr.flags.writeable
             assert arr.tobytes() == getattr(ref, name).tobytes()
 
 
@@ -298,10 +280,10 @@ def test_piece_beyond_the_double_range_raises_domain_error():
 def test_every_dimension_returns_a_flagged_value_or_raises_domain_error():
     # at the band centre, mid-band and outside it, a call either returns a
     # result, whose value is finite or flagged, or raises DomainError,
-    # across the limit d <= 652 of the weights; outside the band every d
-    # converges
+    # across the limit d <= 652 of the weights and the limit d <= 1,023 of
+    # 2^d; outside the band every d up to that limit converges
     raised = set()
-    for d in (1, 7, 8, 120, 652, 653, 1000):
+    for d in (1, 7, 8, 120, 652, 653, 1000, 1023, 1024):
         for omega in (0.0, d / 2 + 0.3, d + 1.5):
             try:
                 res = green_local(d, omega)
@@ -311,7 +293,8 @@ def test_every_dimension_returns_a_flagged_value_or_raises_domain_error():
             assert isinstance(res, GreenResult) and (res.d, res.omega) == (d, omega)
             assert math.isfinite(abs(res.value)) or not res.converged
             assert res.converged or omega < d
-    assert raised == {(1000, 0.0), (1000, 500.3)}
+    assert raised == {(1000, 0.0), (1000, 500.3), (1023, 0.0), (1023, 511.8),
+                      (1024, 0.0), (1024, 512.3), (1024, 1025.5)}
 
 
 @pytest.mark.parametrize("d", [0, -3, 2.0, True])
@@ -387,11 +370,3 @@ def test_large_dimension_band_centre():
     # sqrt(d/2) A_d(0) approaches the Gaussian value 1/sqrt(2 pi)
     val = math.sqrt(10.0) * dos(20, 0.0, QuadratureConfig.fast())
     assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=0.02)
-
-
-def test_a_non_finite_head_stops_the_tail_at_d120():
-    # in the band at d = 120 the head's sums overflow at level 0; the tail
-    # used to refine on to level 3 (146 evaluations) for a NaN result
-    res = green_local(120, 0.0)
-    assert not res.converged and res.abs_error == math.inf
-    assert res.evaluations == 98

@@ -212,7 +212,7 @@ def test_mixed_block_is_bitwise_per_piece(d):
     # one block of rows from five pieces (outside the band on both sides
     # among them), against each piece evaluated on its own; at d = 40 the
     # powers reach kbar^40, at d = 120 they leave the double range at the
-    # smallest head nodes, and the 49 nodes of the first step are those
+    # smallest nodes, and the 49 nodes of the first step are those
     # every column starts with
     omegas = np.sort(np.concatenate([
         [-d - 0.7, -d + 0.3, -d + 1.2, d - 0.5, d + 1.5],
@@ -222,11 +222,11 @@ def test_mixed_block_is_bitwise_per_piece(d):
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
     weights = np.array([term_weights(d, j) for j in js.tolist()])
-    # the tail of the first step, the head and tail of level 4 and both
-    # at once, and the tail of level 8
-    head4, tail4 = np.split(half_line_nodes(4), 2)
-    for tau in (np.split(half_line_nodes(0), 2)[1], head4, tail4, half_line_nodes(4),
-                np.split(half_line_nodes(8), 2)[1]):
+    # slices of the one table of a level: the first step, the two halves
+    # of level 4 and all of it, and the upper half of level 8
+    first, level4, level8 = (half_line_nodes(level) for level in (0, 4, 8))
+    half4 = level4.size // 2
+    for tau in (first, level4[:half4], level4[half4:], level4, level8[level8.size // 2:]):
         table = bessel_table(tau)
         got = eval_terms(d, term_exponents(d, omegas), table, weights)
         for j in set(js.tolist()):

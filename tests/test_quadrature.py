@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from latgreen.bessel import BesselPair, k0e
+from latgreen.bessel import k0e
 from latgreen.errors import DomainError
 from latgreen.integrand import bessel_table
 from latgreen import green, quadrature
@@ -168,26 +168,6 @@ def test_config_takes_a_numpy_level_count(levels):
             == [repr(r) for r in green_sweep(3, grid, QuadratureConfig(max_levels=levels))])
 
 
-def test_head_and_tail_stop_independently(monkeypatch):
-    # head (0, 1] and tail [1, inf) are two columns of one level loop: the
-    # same head with another tail stops at the same level, with the same bits
-    parts = []
-    combine = quadrature._combine
-    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
-    exp_tail = integrate_semiinfinite(lambda t: np.exp(-t))
-    power_tail = integrate_semiinfinite(
-        lambda t: np.exp(-np.minimum(t, 1.0)) * np.maximum(t, 1.0) ** -2.5
-    )
-    (head, tail), (same_head, other_tail) = parts
-    assert exp_tail.converged and power_tail.converged
-    assert power_tail.value.real == pytest.approx(1.0 - math.exp(-1.0) / 3.0, abs=1e-14)
-    assert same_head == head
-    # the parts converge at different levels
-    assert head.evaluations < tail.evaluations
-    assert other_tail.evaluations < tail.evaluations
-    assert power_tail.evaluations == same_head.evaluations + other_tail.evaluations
-
-
 def test_finite_bad_interval():
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 1.0, 1.0)
@@ -234,30 +214,27 @@ def test_every_level_node_lies_inside_with_positive_weight():
         assert (alpha > 0).all() and (alphac > 0).all() and (w > 0).all()
 
 
-def _tanh_sinh_reference(f, parts, n, cfg):
-    """The level loop with one ``f`` call per level and part, levels 0, 1
-    and 2 included: the loop that the first step and the merged parts
-    replaced, kept as the bitwise reference for them."""
+def _tanh_sinh_reference(f, scale, n, cfg, roundoff=2.0):
+    """The level loop with one ``f`` call per level, levels 0, 1 and 2
+    included: the loop that the first step replaced, kept as the bitwise
+    reference for it."""
     _EPS, _BASE_H, _cabs = quadrature._EPS, quadrature._BASE_H, quadrature._cabs
-    n_cols = len(parts) * n
-    value, err, floor = np.empty(n_cols, dtype=complex), np.empty(n_cols), np.empty(n_cols)
-    evals, finite = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=bool)
-    cols = np.arange(n_cols)
-    total, l1 = np.zeros(n_cols, dtype=complex), np.zeros(n_cols)
-    e = np.full(n_cols, math.inf)
+    value, err, floor = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
+    evals, finite = np.empty(n, dtype=int), np.empty(n, dtype=bool)
+    cols = np.arange(n)
+    total, l1 = np.zeros(n, dtype=complex), np.zeros(n)
+    e = np.full(n, math.inf)
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(cfg.max_levels + 1):
             alpha, alphac, w = _per_level_nodes(level)
             step = max(1, quadrature._BLOCK_ELEMENTS // alpha.size)
-            for p, g in enumerate(parts):
-                lo, hi = np.searchsorted(cols, (p * n, (p + 1) * n)).tolist()
-                for i in range(lo, hi, step):
-                    block = slice(i, min(i + step, hi))
-                    rows = np.atleast_2d(f(level, alpha, alphac, (p,), cols[block] - p * n))
-                    vals = w * g(rows, alpha)
-                    total[block] += vals.sum(axis=1)
-                    l1[block] += np.abs(vals).sum(axis=1)
+            for i in range(0, cols.size, step):
+                block = slice(i, i + step)
+                rows = np.atleast_2d(f(level, alpha, alphac, cols[block]))
+                vals = w * scale(rows, alpha, alphac)
+                total[block] += vals.sum(axis=1)
+                l1[block] += np.abs(vals).sum(axis=1)
             count += alpha.size
             h = _BASE_H / 2**level
             v = h * total
@@ -275,7 +252,7 @@ def _tanh_sinh_reference(f, parts, n, cfg):
             if stop.any():
                 done = cols[stop]
                 value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
-                floor[done] = 2.0 * _EPS * h * l1[stop]
+                floor[done] = roundoff * _EPS * h * l1[stop]
                 evals[done] = count
                 keep = ~stop
                 cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
@@ -289,20 +266,16 @@ def _tanh_sinh_reference(f, parts, n, cfg):
         converged = finite & (est <= tol)
     return [QuadratureResult(value=complex(value[i]), abs_error_estimate=float(est[i]),
                              evaluations=int(evals[i]), converged=bool(converged[i]))
-            for i in range(n_cols)]
+            for i in range(n)]
 
 
 def _run_reference(monkeypatch, fn):
     # fn() run by the per-level loop, with the Bessel tables of sweeps on
-    # the nodes of single levels, head then tail
+    # the nodes of single levels
     @functools.lru_cache(maxsize=None)
     def bessel_nodes(level):
-        alpha = _per_level_nodes(level)[0]
-        head, tail = (bessel_table(tau) for tau in
-                      (quadrature._SPLIT * alpha, quadrature._SPLIT / alpha))
-        return BesselPair(kbar=np.concatenate((head.kbar, tail.kbar)),
-                          ibar=np.concatenate((head.ibar, tail.ibar)),
-                          tau=np.concatenate((head.tau, tail.tau)))
+        alpha, alphac, _ = _per_level_nodes(level)
+        return bessel_table(alpha / alphac)
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_tanh_sinh", _tanh_sinh_reference)
@@ -324,15 +297,14 @@ def test_first_step_is_bitwise_the_per_level_loop_for_sweeps(monkeypatch, d):
                            (van_hove[:, None] + offsets).ravel()])
     got = green_sweep(d, grid)
     ref = _run_reference(monkeypatch, lambda: green_sweep(d, grid))
-    # at d = 120 the band's terms overflow at the smallest head nodes, and
-    # every in-band value is NaN and flagged; the first step evaluates 49
-    # nodes of each part, and the tail stops with its head, where the
-    # per-level loop stops the head after level 0 and refines the tail on
+    # at d = 120 the band's terms overflow at the smallest nodes, and every
+    # in-band value is NaN and flagged; the first step evaluates 49 nodes,
+    # where the per-level loop stops after the 13 of level 0
     nan = [i for i, r in enumerate(got) if cmath.isnan(r.value)]
     assert bool(nan) == (d == 120)
     for i in nan:
-        assert not got[i].converged and got[i].evaluations == 98
-        ref[i] = dataclasses.replace(ref[i], evaluations=98)
+        assert not got[i].converged and got[i].evaluations == 49
+        ref[i] = dataclasses.replace(ref[i], evaluations=49)
     assert [repr(r) for r in got] == [repr(r) for r in ref]
     # the d <= 2 divergences, and from d = 8 on the in-band failures of
     # the imaginary-axis contour, all flagged
@@ -359,73 +331,11 @@ def test_oracle_is_bitwise_the_per_level_loop(monkeypatch):
     assert got == _run_reference(monkeypatch, lambda: dos_normalization(3))
 
 
-def _stop_level(evaluations):
-    # the level at which a column with this many evaluations stopped
-    count = quadrature._ts_nodes(0)[0].size
-    level = 2
-    while count < evaluations:
-        level += 1
-        count += quadrature._ts_nodes(level)[0].size
-    assert count == evaluations
-    return level
-
-
-def _unscaled(vals, alpha):
-    return vals
-
-
-def _integrands(table):
-    # f for _tanh_sinh: part p of integral i is table[i][p] on (0, 1)
-    calls = []
-
-    def f(level, alpha, alphac, sel, ints):
-        calls.append(sel)
-        return np.array([np.concatenate([table[i][p](alpha) for p in sel]) for i in ints])
-    return f, calls
-
-
-def test_an_integral_whose_parts_stop_at_l1_l2_makes_l2_minus_1_calls():
-    # a smooth part stops early, a kink late: while both refine, each level
-    # evaluates them in one call, then the kink alone; each part stops
-    # where it stops on its own, with the same bits
-    smooth, kink = np.exp, lambda x: np.abs(x - 0.3) ** 0.5
-    cfg = QuadratureConfig(max_levels=9)
-    f, calls = _integrands([(smooth, kink)])
-    both = quadrature._tanh_sinh(f, (_unscaled, _unscaled), 1, cfg)
-    l1, l2 = (_stop_level(res.evaluations) for res in both)
-    assert l1 < l2
-    assert calls == [(0, 1)] * (l1 - 1) + [(1,)] * (l2 - l1)
-    for g, res in zip((smooth, kink), both):
-        alone = quadrature._tanh_sinh(_integrands([(g,)])[0], (_unscaled,), 1, cfg)
-        assert alone == [res]
-
-
-def test_integrals_group_by_the_parts_they_still_refine():
-    # three parts that stop at different levels split the integrals into
-    # groups, (0, 2) among them, whose parts are not adjacent; every column
-    # is bit for bit the column run alone
-    smooth, poly = np.exp, lambda x: 3.0 * x**2
-    kink, bend = lambda x: np.abs(x - 0.3) ** 0.5, lambda x: np.abs(x - 0.7) ** 1.5
-    table = [(kink, smooth, bend), (smooth, kink, smooth), (poly, poly, kink),
-             (bend, bend, bend), (kink, smooth, bend)]
-    cfg = QuadratureConfig(max_levels=8)
-    f, calls = _integrands(table)
-    got = quadrature._tanh_sinh(f, (_unscaled,) * 3, len(table), cfg)
-    assert {(0, 2), (1,), (2,)} <= set(calls)
-    alone = [quadrature._tanh_sinh(_integrands([(g,)])[0], (_unscaled,), 1, cfg)[0]
-             for part in zip(*table) for g in part]
-    assert got == alone
-
-
 def test_non_finite_first_level_reports_the_first_step(monkeypatch):
     # the sums are NaN at level 0, yet levels 1 and 2 were evaluated with it
-    parts = []
-    combine = quadrature._combine
-    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
     res = integrate_semiinfinite(lambda t: np.full(t.shape, math.nan))
     assert not res.converged and res.abs_error_estimate == math.inf
-    assert [p.evaluations for p in parts[0]] == [49, 49]
-    assert res.evaluations == 98
+    assert res.evaluations == 49
     # the evaluation count is all that differs from the per-level loop,
     # which stopped after the 13 nodes of level 0
     f = lambda x: np.exp(800.0 * x) - np.exp(800.0 * x)  # noqa: E731
@@ -436,33 +346,16 @@ def test_non_finite_first_level_reports_the_first_step(monkeypatch):
     assert repr(res) == repr(dataclasses.replace(ref, evaluations=49))
 
 
-def test_a_non_finite_head_stops_its_tail_at_once(monkeypatch):
-    # the integral is NaN once its head is, so its tail, which on its own
-    # refines past level 2, stops with the head in the first step
-    calls = []
+def test_roundoff_raises_the_estimate_and_moves_no_stop():
+    # the reported floor is roundoff * eps * h * sum|f|, while the stop
+    # tests keep 2 eps: value and evaluations keep their bits
+    def f(level, ints):
+        return np.exp(-quadrature.half_line_nodes(level))
 
-    def integrand(head):
-        def f(level, nodes, cols):
-            calls.append((level, nodes))
-            # the head's nodes lie in (0, 1), the tail's in (1, inf)
-            tau = quadrature.half_line_nodes(level)[nodes]
-            row = np.where(tau > 1.0, np.exp(-tau) * np.cos(3.0 * tau), head(tau))
-            return np.tile(row, (len(cols), 1))
-        return f
-
-    parts = []
-    combine = quadrature._combine
-    monkeypatch.setattr(quadrature, "_combine", lambda *p: parts.append(p) or combine(*p))
     cfg = QuadratureConfig()
-    finite_head = quadrature.integrate_half_line(integrand(np.exp), 1, cfg)[0]
-    tail_levels = [level for level, nodes in calls
-                   if nodes.stop == quadrature.half_line_nodes(level).size]
-    assert finite_head.converged and max(tail_levels) > 2
-    calls.clear()
-    res = quadrature.integrate_half_line(integrand(lambda t: np.full(t.shape, math.nan)), 1, cfg)[0]
-    # one call, on the head and the tail at once
-    assert calls == [(0, slice(0, 98))]
-    assert not res.converged and res.abs_error_estimate == math.inf and res.evaluations == 98
-    for part in parts[-1]:
-        assert not part.converged and part.abs_error_estimate == math.inf
-        assert part.evaluations == 49
+    base, raised = (quadrature.integrate_half_line(f, 1, cfg, roundoff)[0]
+                    for roundoff in (2.0, 200.0))
+    assert base.converged and raised.converged
+    assert (raised.value, raised.evaluations) == (base.value, base.evaluations)
+    # h * sum|f| is the integral of e^{-tau}, 1
+    assert raised.abs_error_estimate >= 199.0 * quadrature._EPS > base.abs_error_estimate

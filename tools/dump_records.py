@@ -16,7 +16,7 @@ bit.  The inputs, in this order:
   d = 1..7 with rel_tol 1e-10;
 * 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80, 110
   and 120; at d = 110 the weighted terms of the band overflow at the
-  smallest head nodes while kbar^d alone does not yet (it does from
+  smallest nodes while kbar^d alone does not yet (it does from
   d ~ 117), so the dump also sees the arithmetic of d = 106..117;
 * one sweep per d = 1..4 of the van Hove frequencies, then of each moved
   by 1, 10 and 10^4 ulps and by 1e-13, up, then down: the neighbourhoods
