@@ -13,6 +13,16 @@ column of one level loop over (0, inf), and each level evaluates the
 frequencies still refining in one call.  Each result is the same, bit for
 bit, whatever it is batched with.
 
+No term is formed where it is exactly 0.  A frequency's reach is
+746/|q_max|, with q_max <= 0 the largest exponent among the terms of its
+piece: past it every exp(q tau) rounds to exactly 0 and each term is
+w * (f * 0) with f finite (see integrand.py), and a sum that starts at +0
+stays +0 when +-0 is added.  So from level 3 on, where a level's nodes
+ascend in tau, each call gets only the nodes below its frequencies' largest
+reach, and the rest of each row is +0, bit for bit what the full table
+gives.  The first step's 49 nodes (level 0) are three ascending runs and
+are never cut, and an exact van Hove input (q_max = 0) reaches every node.
+
 The error estimate covers the integrand's own rounding, d-fold products
 of the Bessel pair: its roundoff floor is max(2, d/4) eps times the L1
 sum, which moves no stop.  Outside the band the measured error is below
@@ -44,6 +54,10 @@ __all__ = [
 # the local |omega - omega_v|^{d/2-1} law there, which is ill-conditioned
 # in omega, so the rounding of omega itself moves the value.
 VAN_HOVE_ADJACENT_TOL = 1e-6
+
+# exp(x) rounds to exactly 0 for x below about -745.13, where it falls
+# under half the smallest subnormal; -746 clears that by a factor of 2.4.
+_EXP_ZERO = 746.0
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,34 @@ def _bessel_nodes(level: int) -> BesselPair:
     for arr in vars(table).values():
         arr.flags.writeable = False
     return table
+
+
+def _reach(exponents: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's reach 746/|q_max|, where q_max <= 0 is the largest
+    exponent among the slots its piece forms: past it every term's
+    exp(q*tau) is exactly 0.  An exact van Hove input (q_max = 0) reaches
+    every node, as does a row whose reach overflows to inf."""
+    q_max = exponents.max(axis=1, where=weights != 0.0, initial=-np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        return _EXP_ZERO / np.abs(q_max)
+
+
+def _eval_level(d: int, level: int, exponents: np.ndarray, weights: np.ndarray,
+                reach: np.ndarray) -> np.ndarray:
+    """``eval_terms`` of a block of rows on the nodes of ``level``: from
+    level 3 on only on the first k nodes, those below the block's largest
+    reach, as views of the level's table, and +0 past them (see the module
+    docstring for why that moves no bit)."""
+    table = _bessel_nodes(level)
+    n = table.tau.size
+    k = n if level == 0 else int(table.tau.searchsorted(max(reach.tolist())))
+    if k == n:
+        return eval_terms(d, exponents, table, weights)
+    out = np.zeros((len(weights), n), dtype=complex)
+    if k:
+        live = BesselPair(table.kbar[:k], table.ibar[:k], table.tau[:k])
+        out[:, :k] = eval_terms(d, exponents, live, weights)
+    return out
 
 
 def _result(d: int, omega: float, j: int, res: QuadratureResult) -> GreenResult:
@@ -128,9 +170,10 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     if order.size:
         rows_q = exponents[order]
         weights = np.array([term_weights(d, j) for j in js[order].tolist()])
+        reach = _reach(rows_q, weights)
 
         def f(level, cols):
-            return eval_terms(d, rows_q[cols], _bessel_nodes(level), weights[cols])
+            return _eval_level(d, level, rows_q[cols], weights[cols], reach[cols])
 
         roundoff = max(2.0, d / 4)
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg, roundoff)):

@@ -54,6 +54,19 @@ frequencies, of one piece or of many, as one term-major (frequencies x
 nodes) block, forming each term only on the rows whose weight for it is
 nonzero, so a frequency outside the band costs one term at any d.
 
+A frequency's terms also end: exp(x) rounds to exactly 0 below about
+-745.13, so past its reach tau* = 746/|q_max|, with q_max the largest
+exponent among the terms its piece forms, every term is w * (f * 0).  f is
+finite there: q_max is minus the distance from omega to the nearest van
+Hove frequency, so inside the band q_max >= -1 and tau* >= 746, where kbar
+and ibar are below 1, and outside it the one term is ibar^d <= 2^d, finite
+for d <= 1,023.  Since +0 plus +-0 is +0, each such node of a row's sum
+stays +0, so ``green_sweep`` hands ``eval_terms`` only the nodes below a
+block's largest reach and leaves the rest +0, which moves no bit.  It cuts
+from level 3 on, where a level's nodes ascend in tau, and never the first
+step's 49 nodes (level 0), which are three ascending runs; at an exact van
+Hove input q_max = 0 and nothing is cut.
+
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
 the weights it would move the first non-finite band value from d ~ 106 to
 d ~ 118 (flagged either way), but flip signed zeros and subnormal bits
@@ -240,9 +253,12 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     rows have the same terms is of one piece; it forms the exponent*tau
     products of at most ``_QTAU_ELEMENTS`` elements (or of one term) at
     once and scales them by scalar weights.  A mixed block forms them one
-    term at a time, on the rows that use it only.  Underflowed terms
-    contribute exactly 0; an overflow shows as a non-finite value, which
-    the quadrature flags.
+    term at a time, on the rows that use it only.  An underflowed term adds
+    exactly +-0, and past a row's reach 746/|q_max| every term does, so
+    that row stays +0 there; ``green_sweep`` therefore passes, from level 3
+    on, only the nodes below a block's largest reach (never cutting level
+    0) without moving a bit (see the module docstring).  An overflow shows
+    as a non-finite value, which the quadrature flags.
     """
     tau, n = table.tau, len(weights)
     # a piece is identified by its terms, and the rows are ordered by piece

@@ -20,9 +20,13 @@ bit.  The inputs, in this order:
   d ~ 117), so the dump also sees the arithmetic of d = 106..117;
 * one sweep per d = 1..4 of the van Hove frequencies, then of each moved
   by 1, 10 and 10^4 ulps and by 1e-13, up, then down: the neighbourhoods
-  where the value follows the local law of its van Hove point.
+  where the value follows the local law of its van Hove point;
+* one sweep per d = 1, 3, 7, 40, 120, 300, 652 and 1,023 far outside the
+  band, at omega = d(1 + 1e-9), d + 1e-3, 2d, 10d, 1e10, 1e100, 1e300 and
+  1.7e308, then at each negated: there the reach of the one term, past
+  which exp(q tau) is exactly 0, cuts from a few to every node of a level.
 
-4,327 records in all.
+4,455 records in all.
 
 ``--limit N`` stops after the first N records.
 
@@ -52,6 +56,7 @@ _POINT_SETS = ("points/", "large/")
 _CLI_SWEEPS = ("cli/sweep_d3", "cli/sweep_d20")
 _SWEEP_DIMS = (4, 7, 20, 30, 40, 58, 80, 110, 120)
 _ULPS = (1, 10, 10**4)
+_FAR_DIMS = (1, 3, 7, 40, 120, 300, 652, 1023)
 
 # name=value, where a value is a parenthesised complex or runs to the next
 # comma or closing parenthesis
@@ -80,6 +85,9 @@ def inputs():
         yield d, np.linspace(-d - 2.0, d + 2.0, 61).tolist(), tight
     for d in range(1, 5):
         yield d, _van_hove_neighbourhood(d), tight
+    for d in _FAR_DIMS:
+        far = [d * (1 + 1e-9), d + 1e-3, 2.0 * d, 10.0 * d, 1e10, 1e100, 1e300, 1.7e308]
+        yield d, far + [-w for w in far], tight
 
 
 def _van_hove_neighbourhood(d: int) -> list[float]:
