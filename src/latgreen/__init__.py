@@ -8,14 +8,8 @@ verification oracles (see ``latgreen.oracles`` for which are independent).
 from .bessel import BesselPair
 from .errors import DomainError, TruncationTooCoarseError
 from .green import GreenResult, dos, green_local, green_sweep
-from .integrand import (IntegrandSpec, build_integrand, coefficient_table, eval_integrand,
-                        staircase_j, tail_class)
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_finite,
-    integrate_semiinfinite,
-)
+from .integrand import coefficient_table
+from .quadrature import QuadratureConfig, QuadratureResult, integrate_finite
 
 # The verification oracles (and the fractions module they use) are loaded
 # on first use, so that evaluating G_d does not pay for them.
@@ -28,15 +22,9 @@ _ORACLES = frozenset({
 __all__ = [
     "BesselPair",
     "coefficient_table",
-    "staircase_j",
-    "IntegrandSpec",
-    "build_integrand",
-    "eval_integrand",
-    "tail_class",
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_finite",
-    "integrate_semiinfinite",
     "GreenResult",
     "green_local",
     "green_sweep",

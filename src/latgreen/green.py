@@ -13,15 +13,16 @@ column of one level loop over (0, inf), and each level evaluates the
 frequencies still refining in one call.  Each result is the same, bit for
 bit, whatever it is batched with.
 
-No term is formed where it is exactly 0.  A frequency's reach is
-746/|q_max|, with q_max <= 0 the largest exponent among the terms of its
-piece: past it every exp(q tau) rounds to exactly 0 and each term is
-w * (f * 0) with f finite (see integrand.py), and a sum that starts at +0
-stays +0 when +-0 is added.  So from level 3 on, where a level's nodes
-ascend in tau, each call gets only the nodes below its frequencies' largest
-reach, and the rest of each row is +0, bit for bit what the full table
-gives.  The first step's 49 nodes (level 0) are three ascending runs and
-are never cut, and an exact van Hove input (q_max = 0) reaches every node.
+No term is formed where it is exactly 0.  A frequency's reach is 746/delta,
+with delta its distance to the nearest van Hove frequency
+(``integrand.van_hove_distance``): past it every term is exactly +-0, and a
+sum that starts at +0 stays +0 (see integrand.py).  So from level 3 on,
+where a level's nodes ascend in tau, each call gets only the nodes below
+its frequencies' largest reach, and the rest of each row is +0, bit for bit
+what the full table gives.  The first step's 49 nodes (level 0) are three
+ascending runs and are never cut, and an exact van Hove input (delta = 0)
+reaches every node.  delta also gives the van Hove flag and, at d <= 2,
+the divergence.
 
 The error estimate covers the integrand's own rounding, d-fold products
 of the Bessel pair: its roundoff floor is max(2, d/4) eps times the L1
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselPair
-from .integrand import admit, bessel_table, eval_terms, term_weights
+from .integrand import admit, bessel_table, eval_terms, term_weights, van_hove_distance
 from .quadrature import QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line
 
 # Not used here since sweeps are batched, but perfbench's tracer (spans.py)
@@ -73,11 +74,6 @@ class GreenResult:
     evaluations: int = 0
 
 
-def _nearest_van_hove(d: int, omega: float) -> float:
-    n = min(d, max(0, round((omega + d) / 2.0)))
-    return -d + 2.0 * n
-
-
 def _divergent_value(d: int, omega: float) -> complex:
     # Signed-infinity semantics: the 1d band edges diverge in both parts,
     # the 2d band centre in Im (log), the 2d band edges in Re.
@@ -97,22 +93,12 @@ def _bessel_nodes(level: int) -> BesselPair:
     return table
 
 
-def _reach(exponents: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each row's reach 746/|q_max|, where q_max <= 0 is the largest
-    exponent among the slots its piece forms: past it every term's
-    exp(q*tau) is exactly 0.  An exact van Hove input (q_max = 0) reaches
-    every node, as does a row whose reach overflows to inf."""
-    q_max = exponents.max(axis=1, where=weights != 0.0, initial=-np.inf)
-    with np.errstate(divide="ignore", over="ignore"):
-        return _EXP_ZERO / np.abs(q_max)
-
-
 def _eval_level(d: int, level: int, exponents: np.ndarray, weights: np.ndarray,
                 reach: np.ndarray) -> np.ndarray:
     """``eval_terms`` of a block of rows on the nodes of ``level``: from
     level 3 on only on the first k nodes, those below the block's largest
-    reach, as views of the level's table, and +0 past them (see the module
-    docstring for why that moves no bit)."""
+    reach 746/delta, as views of the level's table, and +0 past them (see
+    the module docstring for why that moves no bit)."""
     table = _bessel_nodes(level)
     n = table.tau.size
     k = n if level == 0 else int(table.tau.searchsorted(max(reach.tolist())))
@@ -125,8 +111,7 @@ def _eval_level(d: int, level: int, exponents: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _result(d: int, omega: float, j: int, res: QuadratureResult) -> GreenResult:
-    adjacent = abs(omega - _nearest_van_hove(d, omega)) <= VAN_HOVE_ADJACENT_TOL * max(1.0, d)
+def _result(d: int, omega: float, j: int, adjacent: bool, res: QuadratureResult) -> GreenResult:
     return GreenResult(
         omega=omega, d=d, value=res.value, abs_error=res.abs_error_estimate,
         piece_j=j, van_hove_adjacent=adjacent, divergent=False,
@@ -157,27 +142,29 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     """
     cfg = cfg or QuadratureConfig()
     d, omegas, js, exponents = admit(d, omegas)
+    delta = van_hove_distance(exponents)
+    adjacent = (delta <= VAN_HOVE_ADJACENT_TOL * max(1.0, d)).tolist()
     results: list[GreenResult | None] = [None] * len(js)
     order = np.argsort(js, kind="stable")
     if d < 3:
-        # a zero exponent leaves the tau^{-d/2} tail, which diverges for
-        # d <= 2 (see tail_class); exponents vanish only at a van Hove
-        # frequency, and there one of the piece's own terms has it
-        divergent = (exponents == 0.0).any(axis=1)
+        # at a van Hove frequency (delta = 0) the tau^{-d/2} tail diverges
+        # for d <= 2 (see tail_class)
+        divergent = delta == 0.0
         for i in np.flatnonzero(divergent).tolist():
             results[i] = _divergent_result(d, omegas.item(i), int(js[i]))
         order = order[~divergent[order]]
     if order.size:
         rows_q = exponents[order]
         weights = np.array([term_weights(d, j) for j in js[order].tolist()])
-        reach = _reach(rows_q, weights)
+        with np.errstate(divide="ignore", over="ignore"):
+            reach = _EXP_ZERO / delta[order]
 
         def f(level, cols):
             return _eval_level(d, level, rows_q[cols], weights[cols], reach[cols])
 
         roundoff = max(2.0, d / 4)
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg, roundoff)):
-            results[i] = _result(d, omegas.item(i), int(js[i]), res)
+            results[i] = _result(d, omegas.item(i), int(js[i]), adjacent[i], res)
     return results
 
 

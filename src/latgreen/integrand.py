@@ -54,18 +54,28 @@ frequencies, of one piece or of many, as one term-major (frequencies x
 nodes) block, forming each term only on the rows whose weight for it is
 nonzero, so a frequency outside the band costs one term at any d.
 
+Every frequency has one distance delta to its nearest van Hove frequency
+(``van_hove_distance``):
+
+    delta = min over the 2(d+1) slots of |q| = min over v of |omega - v|,
+
+since the two halves of the slots give the same |q| (-v is a van Hove
+frequency with v).  delta is minus q_max, the largest exponent among the
+terms the piece forms: inside the band (v_j <= omega < v_{j+1}) those are
+v_j - omega and omega - v_{j+1}, and outside it the one term's is
+-(|omega| - d).  delta is 0 exactly at a van Hove input, where the
+tau^{-d/2} tail diverges for d <= 2.
+
 A frequency's terms also end: exp(x) rounds to exactly 0 below about
--745.13, so past its reach tau* = 746/|q_max|, with q_max the largest
-exponent among the terms its piece forms, every term is w * (f * 0).  f is
-finite there: q_max is minus the distance from omega to the nearest van
-Hove frequency, so inside the band q_max >= -1 and tau* >= 746, where kbar
+-745.13, so past its reach tau* = 746/delta every term is w * (f * 0).  f
+is finite there: inside the band delta <= 1 and tau* >= 746, where kbar
 and ibar are below 1, and outside it the one term is ibar^d <= 2^d, finite
 for d <= 1,023.  Since +0 plus +-0 is +0, each such node of a row's sum
 stays +0, so ``green_sweep`` hands ``eval_terms`` only the nodes below a
 block's largest reach and leaves the rest +0, which moves no bit.  It cuts
 from level 3 on, where a level's nodes ascend in tau, and never the first
 step's 49 nodes (level 0), which are three ascending runs; at an exact van
-Hove input q_max = 0 and nothing is cut.
+Hove input delta = 0 and nothing is cut.
 
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
 the weights it would move the first non-finite band value from d ~ 106 to
@@ -89,7 +99,7 @@ __all__ = [
     "TailKind",
     "TailClass",
     "admit",
-    "staircase_j",
+    "van_hove_distance",
     "coefficient_table",
     "bessel_table",
     "build_integrand",
@@ -146,11 +156,6 @@ def staircase_js(d: int, omegas: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.arange(-d, d + 1, 2.0), omegas, side="right") - 1
 
 
-def staircase_j(d: int, omega: float) -> int:
-    """The piece of one frequency; see ``staircase_js``."""
-    return int(admit(d, [omega])[2][0])
-
-
 def coefficient_table(d: int, j: int) -> tuple[int, ...]:
     """The exact signed weight w of every slot of piece j of dimension d:
     C_jm = w[m] i^{(d+m) mod 2} and D_jm = -w[d+1+m] i^{(d+m) mod 2}.  By
@@ -184,6 +189,13 @@ def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
     omegas = omegas.reshape(-1, 1)
     base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
     return np.concatenate((base - omegas, base + omegas), axis=1)
+
+
+def van_hove_distance(exponents: np.ndarray) -> np.ndarray:
+    """delta = min |q| over the slots of each row of ``term_exponents``: the
+    distance from its frequency to the nearest van Hove frequency, and minus
+    its piece's largest exponent (see the module docstring)."""
+    return np.abs(exponents).min(axis=-1)
 
 
 def admit(d: int, omegas) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -254,7 +266,7 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     products of at most ``_QTAU_ELEMENTS`` elements (or of one term) at
     once and scales them by scalar weights.  A mixed block forms them one
     term at a time, on the rows that use it only.  An underflowed term adds
-    exactly +-0, and past a row's reach 746/|q_max| every term does, so
+    exactly +-0, and past a row's reach 746/delta every term does, so
     that row stays +0 there; ``green_sweep`` therefore passes, from level 3
     on, only the nodes below a block's largest reach (never cutting level
     0) without moving a bit (see the module docstring).  An overflow shows
@@ -315,13 +327,13 @@ def eval_integrand(spec: IntegrandSpec, tau):
 def tail_class(spec: IntegrandSpec) -> TailClass:
     """Classify the large-tau behaviour of the assembled integrand.
 
-    All exponents strictly negative gives exponential decay at the slowest
-    rate; a zero exponent leaves the kbar*ibar power-law tau^{-d/2} tail,
-    which is integrable only for d >= 3.
+    A frequency off the van Hove frequencies decays exponentially at the
+    rate delta (``van_hove_distance``); at one (delta = 0) the kbar*ibar
+    power-law tau^{-d/2} tail is left, which is integrable only for d >= 3.
     """
-    max_exp = float(spec.exponents[list(spec.terms)].max())
-    if max_exp < 0.0:
-        return TailClass(TailKind.EXPONENTIAL, -max_exp)
+    delta = float(van_hove_distance(spec.exponents))
+    if delta > 0.0:
+        return TailClass(TailKind.EXPONENTIAL, delta)
     if spec.d >= 3:
         return TailClass(TailKind.POWER_LAW, -spec.d / 2.0)
     return TailClass(TailKind.DIVERGENT)

@@ -2,6 +2,8 @@
 line (collected into the terminal summary by conftest.py)."""
 import cmath
 import math
+import os
+import sys
 import time
 
 import mpmath as mp
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from latgreen.cli import main as cli_main
-from latgreen.green import dos, green_local
+from latgreen.green import dos, dos_from_result, green_local
 from latgreen.oracles import (
     bessel_j_fourier,
     dos_convolution,
@@ -24,6 +26,11 @@ from latgreen.integrand import build_integrand, eval_integrand
 from latgreen.quadrature import QuadratureConfig
 
 from reference_values import G3_ZERO_IMAG
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import check  # noqa: E402
 
 REPORT_LINES = []
 
@@ -168,21 +175,23 @@ def test_criterion_09_fourier_oracle():
 
 
 def test_criterion_10_linear_scaling():
-    def bench(d):
-        grid = np.linspace(-d - 1.0, d + 1.0, 21)
-        best = np.full(grid.size, np.inf)
-        for _ in range(3):
+    # d = 10 and d = 40 are timed in alternation, round by round, and each
+    # point keeps its best time over the rounds, so that a burst of load
+    # hits both sides of the ratio
+    grids = {d: np.linspace(-d - 1.0, d + 1.0, 21).tolist() for d in (10, 40)}
+    best = {d: np.full(21, np.inf) for d in grids}
+    t_start = time.perf_counter()
+    for d, grid in grids.items():  # warm-up round
+        for w in grid:
+            green_local(d, w, TIGHT)
+    for _ in range(5):
+        for d, grid in grids.items():
             for i, w in enumerate(grid):
                 t0 = time.perf_counter()
-                green_local(d, float(w), TIGHT)
-                best[i] = min(best[i], time.perf_counter() - t0)
-        return float(np.median(best))
-
-    t_start = time.perf_counter()
-    bench(10)  # warm-up pass
-    m10 = bench(10)
-    m40 = bench(40)
+                green_local(d, w, TIGHT)
+                best[d][i] = min(best[d][i], time.perf_counter() - t0)
     total = time.perf_counter() - t_start
+    m10, m40 = (float(np.median(best[d])) for d in grids)
     ratio = m40 / m10
     ok = ratio <= 5.0 and total <= 60.0
     _report(10, "linear-scaling", ok,
@@ -215,10 +224,20 @@ def test_criterion_11_sweep_tables_and_gaussian_limit(tmp_path):
             elif "nonconverged" in flags:
                 bad.append((d, w, "nonconverged"))
 
-    gauss = math.sqrt(10.0) * dos(20, 0.0, FAST)
+    # the Gaussian limit is graded on a value that may be flagged, so its
+    # actual error against the pool's reference must be within its own
+    # estimate
+    res = green_local(20, 0.0, FAST)
+    flags = [name for name, on in (("van_hove_adjacent", res.van_hove_adjacent),
+                                   ("divergent", res.divergent),
+                                   ("nonconverged", not res.converged)) if on]
+    _, refs = check.load_pool(os.path.join(ROOT, "perfbench", "pool.json"))
+    actual = abs(res.value - refs[check.key(20, 0.0)].value)
+    gauss = math.sqrt(10.0) * dos_from_result(res)
     target = 1.0 / math.sqrt(2.0 * math.pi)
     gauss_err = abs(gauss / target - 1.0)
-    ok = not bad and gauss_err <= 0.02
+    ok = not bad and gauss_err <= 0.02 and actual <= res.abs_error
     _report(11, "sweep-tables-gaussian-limit", ok,
             f"7 sweeps x 401 points clean ({len(bad)} bad records), "
-            f"sqrt(d/2) A_20(0) off by {gauss_err*100:.2f}% <= 2%")
+            f"sqrt(d/2) A_20(0) off by {gauss_err*100:.2f}% <= 2%, "
+            f"flags [{','.join(flags)}], error {actual:.1e} <= estimate {res.abs_error:.1e}")

@@ -10,14 +10,15 @@ import pytest
 from latgreen import green
 from latgreen.errors import DomainError
 from latgreen.green import dos, green_local, green_sweep
-from latgreen.integrand import build_integrand, staircase_j
+from latgreen.integrand import admit, build_integrand
 
 _ENTRIES = {
     "green_local": green_local,
     "green_sweep": lambda d, omega: green_sweep(d, [omega]),
     "dos": dos,
     "build_integrand": build_integrand,
-    "staircase_j": staircase_j,
+    # the piece rule, which the evaluator reaches through admit
+    "staircase_j": lambda d, omega: admit(d, [omega]),
 }
 
 _BAD_FREQUENCIES = {
@@ -72,7 +73,7 @@ def test_an_admitted_frequency_is_the_float_it_equals(omega, same):
     assert repr(green_local(3, omega)) == repr(green_local(3, same))
     assert repr(dos(3, omega)) == repr(dos(3, same))
     assert repr(build_integrand(3, omega)) == repr(build_integrand(3, same))
-    assert staircase_j(3, omega) == staircase_j(3, same)
+    assert repr(admit(3, [omega])) == repr(admit(3, [same]))
 
 
 def test_an_admitted_grid_is_the_floats_it_equals():

@@ -247,8 +247,7 @@ def test_public_names_resolve():
 
     assert sorted(latgreen.__all__) == sorted([
         "BesselPair", "coefficient_table",
-        "staircase_j", "IntegrandSpec", "build_integrand", "eval_integrand", "tail_class",
-        "QuadratureConfig", "QuadratureResult", "integrate_finite", "integrate_semiinfinite",
+        "QuadratureConfig", "QuadratureResult", "integrate_finite",
         "MomentTable", "moments", "laurent_green", "laurent_truncation_bound",
         "g1_closed_form", "dos_convolution", "dos_normalization", "dos_moment",
         "bz_bruteforce", "lorentz_broadened", "bessel_j_fourier", "GreenResult",

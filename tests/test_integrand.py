@@ -1,5 +1,7 @@
 """Assembly and evaluation tests for the Bessel-product integrand."""
+import importlib.util
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ from latgreen.integrand import coefficient_table, staircase_js
 from latgreen.errors import DomainError
 from latgreen.integrand import (
     TailKind,
+    admit,
     bessel_table,
     build_integrand,
     eval_integrand,
@@ -17,6 +20,7 @@ from latgreen.integrand import (
     tail_class,
     term_exponents,
     term_weights,
+    van_hove_distance,
 )
 from latgreen.quadrature import half_line_nodes
 
@@ -136,6 +140,31 @@ def test_exponent_vanishes_only_at_an_exact_van_hove_input(d):
     assert zero.tolist() == [True] * (d + 1) + [False] * (3 * (d + 1))
 
 
+def test_delta_is_the_van_hove_distance_and_minus_q_max():
+    # over every frequency of tools/dump_records.py: the pool points, the
+    # CLI and criterion-11 grids, the van Hove ulp neighbourhoods at
+    # d = 1..4, and far outside the band up to |omega| = 1.7e308 at d up to
+    # 1,023, delta is bit for bit minus the largest exponent of the terms
+    # the piece forms, and the distance to the nearest van Hove frequency
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "dump_records.py")
+    spec = importlib.util.spec_from_file_location("dump_records", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    count = 0
+    for d, grid, _ in dump.inputs():
+        _, omegas, js, exponents = admit(d, grid)
+        delta = van_hove_distance(exponents)
+        weights = np.array([term_weights(d, j) for j in js.tolist()])
+        q_max = exponents.max(axis=1, where=weights != 0.0, initial=-np.inf)
+        # 0 - q_max is -q_max, with +0 for a zero
+        assert delta.tobytes() == (0.0 - q_max).tobytes()
+        van_hove = np.arange(-d, d + 1, 2.0)
+        assert delta.tobytes() == np.abs(omegas[:, None] - van_hove).min(axis=1).tobytes()
+        assert ((delta == 0.0) == np.isin(omegas, van_hove)).all()
+        count += omegas.size
+    assert count == 4455
+
+
 def test_tail_classification():
     assert tail_class(build_integrand(3, 0.5)).kind is TailKind.EXPONENTIAL
     assert tail_class(build_integrand(3, 0.5)).parameter == pytest.approx(0.5)
@@ -214,14 +243,15 @@ def _per_piece_reference(specs, table):
 ])
 def test_a_level_cut_at_the_reach_is_bitwise_the_full_level(d, omega):
     # from level 3 on, a row is formed only on the nodes below its reach
-    # 746/|q_max| and left +0 past it; that is the reference on the
+    # 746/delta and left +0 past it; that is the reference on the
     # level's full table bit for bit, which is itself +0 at every node
     # past the cut.  At (110, 0.3) the powers overflow at the smallest
-    # nodes, and the NaN stays; at the van Hove input (4, 2.0) q_max = 0
+    # nodes, and the NaN stays; at the van Hove input (4, 2.0) delta = 0
     # and nothing is cut
     spec = build_integrand(d, omega)
     exponents, weights = spec.exponents[None], spec.weights[None]
-    reach = green._reach(exponents, weights)
+    with np.errstate(divide="ignore"):
+        reach = green._EXP_ZERO / van_hove_distance(exponents)
     cut = 0
     for level in range(3, 9):
         table = green._bessel_nodes(level)

@@ -11,8 +11,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from latgreen import build_integrand, green, green_local, green_sweep
-from latgreen.integrand import term_weights
+from latgreen import green, green_local, green_sweep
+from latgreen.integrand import build_integrand, term_weights
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
