@@ -52,7 +52,14 @@ weights leave the double range.  The Bessel pair is a ``BesselPair`` of
 arrays built once per set of nodes; ``eval_terms`` evaluates any
 frequencies, of one piece or of many, as one term-major (frequencies x
 nodes) block, forming each term only on the rows whose weight for it is
-nonzero, so a frequency outside the band costs one term at any d.
+nonzero, so a frequency outside the band costs one term at any d.  A block
+also forms only the parities and the powers its terms have.  A part (real
+or imaginary) that no term reaches stays the scalar 0.0, which adds to the
+complex result exactly what a block of zeros would: the one term outside
+the band (m = d) is real, so such a row builds no imaginary block.  The
+m = d and m = 0 factors are ibar^d and kbar^d, since x**0 is exactly 1 and
+1*x is exactly x.  So neither moves a bit.  A piece's slot list and each
+d's van Hove grid are built on first use and shared read-only.
 
 Every frequency has one distance delta to its nearest van Hove frequency
 (``van_hove_distance``):
@@ -131,7 +138,7 @@ class IntegrandSpec:
     @property
     def terms(self) -> tuple[int, ...]:
         """The slots with a nonzero weight: the terms the piece forms."""
-        return tuple(np.flatnonzero(self.weights).tolist())
+        return _slots(self.weights.tobytes())
 
 
 class TailKind(Enum):
@@ -147,13 +154,23 @@ class TailClass:
     parameter: float = 0.0
 
 
+@functools.lru_cache(maxsize=1024)
+def _van_hove_grid(d: int) -> np.ndarray:
+    """The van Hove frequencies -d, -d+2, .., d, which are also the slot
+    exponents' 2m - d (m = 0..d): one read-only array per d, built on first
+    use."""
+    grid = np.arange(-d, d + 1, 2.0)
+    grid.flags.writeable = False
+    return grid
+
+
 def staircase_js(d: int, omegas: np.ndarray) -> np.ndarray:
     """The piece j of every frequency of a grid, as an int array: the number
     of van Hove frequencies -d, -d+2, .., d at or below omega, less one, so
     j in [-1, d].  It compares omega with the van Hove frequencies exactly,
     where floor((omega+d)/2) would round omega + d.  It checks nothing:
     callers go through ``admit``."""
-    return np.searchsorted(np.arange(-d, d + 1, 2.0), omegas, side="right") - 1
+    return np.searchsorted(_van_hove_grid(d), omegas, side="right") - 1
 
 
 def coefficient_table(d: int, j: int) -> tuple[int, ...]:
@@ -187,7 +204,7 @@ def term_exponents(d: int, omegas: np.ndarray) -> np.ndarray:
     (frequencies x 2(d+1)) array, each one rounded difference.  It checks
     nothing: callers go through ``admit``."""
     omegas = omegas.reshape(-1, 1)
-    base = np.arange(-d, d + 1, 2.0)  # 2m - d, m = 0..d
+    base = _van_hove_grid(d)  # 2m - d, m = 0..d
     return np.concatenate((base - omegas, base + omegas), axis=1)
 
 
@@ -262,15 +279,19 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     receives the terms of its piece with the arithmetic and in the order of
     a single frequency: it does not depend on the rows it is batched with,
     and a term no row has is never formed.  A block whose first and last
-    rows have the same terms is of one piece; it forms the exponent*tau
-    products of at most ``_QTAU_ELEMENTS`` elements (or of one term) at
-    once and scales them by scalar weights.  A mixed block forms them one
-    term at a time, on the rows that use it only.  An underflowed term adds
-    exactly +-0, and past a row's reach 746/delta every term does, so
-    that row stays +0 there; ``green_sweep`` therefore passes, from level 3
-    on, only the nodes below a block's largest reach (never cutting level
-    0) without moving a bit (see the module docstring).  An overflow shows
-    as a non-finite value, which the quadrature flags.
+    rows have the same terms is of one piece; it reads its slot list from a
+    cache keyed by its weight row, forms the exponent*tau products of at
+    most ``_QTAU_ELEMENTS`` elements (or of one term) at once and scales
+    them by scalar weights.  A mixed block forms them one term at a time,
+    on the rows that use it only.  Either forms only the parities and the
+    powers its terms have: a part no term reaches stays 0.0, and the m = d
+    and m = 0 factors are ibar^d and kbar^d, which moves no bit (see the
+    module docstring).  An underflowed term adds exactly +-0, and past a
+    row's reach 746/delta every term does, so that row stays +0 there;
+    ``green_sweep`` therefore passes, from level 3 on, only the nodes below
+    a block's largest reach (never cutting level 0) without moving a bit
+    (see the module docstring).  An overflow shows as a non-finite value,
+    which the quadrature flags.
     """
     tau, n = table.tau, len(weights)
     # a piece is identified by its terms, and the rows are ordered by piece
@@ -283,11 +304,11 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
         ks = np.flatnonzero(has[0] | (lo > 0)).tolist()
         lo, hi = lo.tolist(), (n - has[::-1].argmax(0)).tolist()
     else:
-        ks = np.flatnonzero(weights[0]).tolist()
-    re = np.zeros((n, tau.size))
-    im = np.zeros_like(re)
+        ks = _slots(weights[0].tobytes())
+    # the real and imaginary sums; one that no term reaches stays 0.0
+    acc = [0.0, 0.0]
     # terms per group; a mixed block forms each term's products on its rows
-    g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // re.size, d + 1))
+    g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // (n * tau.size), d + 1))
     # kbar^{d-m} ibar^m is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -298,17 +319,29 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
                 m = k if k <= d else k - d - 1
                 f = factors.get(m)
                 if f is None:
-                    f = factors[m] = table.kbar**(d - m) * table.ibar**m
-                acc = im if (d + m) & 1 else re
+                    # no power of 0: x**0 is exactly 1 and 1*x is x
+                    f = factors[m] = (table.ibar**d if m == d else table.kbar**d if m == 0
+                                      else table.kbar**(d - m) * table.ibar**m)
+                p = (d + m) & 1
                 if mixed:
+                    if not isinstance(acc[p], np.ndarray):
+                        acc[p] = np.zeros((n, tau.size))
                     rows = slice(lo[k], hi[k])
-                    w, acc = weights[rows, k, None], acc[rows]
                     q = exponents[rows, k, None] * tau
+                    acc[p][rows] += weights[rows, k, None] * (f * np.exp(q))
                 else:
-                    w, q = weights.item(0, k), qtau[i]
-                acc += w * (f * np.exp(q))
+                    acc[p] += weights.item(0, k) * (f * np.exp(qtau[i]))
             qtau = q = None  # free the products before the next group's
+        re, im = acc
         return (re + 1j * im) * 0.5**d
+
+
+@functools.lru_cache(maxsize=1024)
+def _slots(row: bytes) -> tuple[int, ...]:
+    """The slots with a nonzero weight in a weight row, given as its bytes:
+    the terms of its piece, in slot order, as a tuple shared by every
+    caller."""
+    return tuple(np.flatnonzero(np.frombuffer(row)).tolist())
 
 
 def eval_integrand(spec: IntegrandSpec, tau):

@@ -185,12 +185,12 @@ def _tanh_sinh(f, scale, n: int, cfg: QuadratureConfig,
                 step = max(1, _BLOCK_ELEMENTS // alpha.size)
                 for i in range(0, cols.size, step):
                     block = slice(i, i + step)
-                    rows = np.atleast_2d(f(level, alpha, alphac, cols[block]))
-                    vals = w * scale(rows, alpha, alphac)
+                    vals = w * scale(f(level, alpha, alphac, cols[block]), alpha, alphac)
                     mags = np.abs(vals)
                     for k, (a, b) in enumerate(zip((0, *ends), ends)):
-                        sums[k, block] = vals[:, a:b].sum(axis=1)
-                        l1s[k, block] = mags[:, a:b].sum(axis=1)
+                        # what ndarray.sum calls, without its wrapper
+                        sums[k, block] = np.add.reduce(vals[:, a:b], axis=1)
+                        l1s[k, block] = np.add.reduce(mags[:, a:b], axis=1)
                 count += alpha.size
                 first = level
             total += sums[level - first]
@@ -244,7 +244,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
     span = b - a
 
     def g(level, alpha, alphac, ints):
-        return f(np.where(alpha <= 0.5, a + span * alpha, b - span * alphac))
+        return np.reshape(f(np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)), (1, -1))
 
     return _tanh_sinh(g, lambda vals, alpha, alphac: span * vals, 1, cfg)[0]
 
@@ -276,4 +276,5 @@ def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> Quadrature
     rather than raised.
     """
     cfg = cfg or QuadratureConfig()
-    return integrate_half_line(lambda level, ints: f(half_line_nodes(level)), 1, cfg)[0]
+    return integrate_half_line(lambda level, ints: np.reshape(f(half_line_nodes(level)), (1, -1)),
+                               1, cfg)[0]

@@ -1,6 +1,8 @@
 """End-to-end tests for green_local, green_sweep, and the density of states."""
 import cmath
 import math
+import os
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +21,13 @@ from latgreen.integrand import TailKind, bessel_table, build_integrand, tail_cla
 from latgreen.oracles import laurent_green, laurent_truncation_bound
 from latgreen.quadrature import QuadratureConfig, half_line_nodes
 
+from gaussian_series import green_gaussian
 from reference_values import G3_ZERO_IMAG
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import check  # noqa: E402
 
 
 def test_cubic_band_centre_value():
@@ -391,3 +399,21 @@ def test_large_dimension_band_centre():
     # sqrt(d/2) A_d(0) approaches the Gaussian value 1/sqrt(2 pi)
     val = math.sqrt(10.0) * dos(20, 0.0, QuadratureConfig.fast())
     assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=0.02)
+
+
+def test_in_band_large_d_against_the_gaussian_series():
+    # the in-band pool points of d >= 40, where the Gaussian series is an
+    # independent oracle: it agrees with each pool reference relative to
+    # |G|, and each value is within its own error estimate of it or
+    # flagged (the band pieces of d >= 8 on the imaginary-axis contour)
+    sets, refs = check.load_pool(os.path.join(ROOT, "perfbench", "pool.json"))
+    points = [(d, omega) for name in ("large/centre", "large/interior", "large/edge")
+              for d, omega in sets[name] if d >= 40 and abs(omega) < d]
+    assert len(points) == 35
+    for d, omega in points:
+        series = green_gaussian(d, omega)
+        ref = refs[check.key(d, omega)].value
+        assert abs(series - ref) <= 1e-14 * abs(ref)
+        r = green_local(d, omega)
+        flagged = r.van_hove_adjacent or r.divergent or not r.converged
+        assert flagged or abs(r.value - series) <= r.abs_error

@@ -2,12 +2,14 @@
 import importlib.util
 import math
 import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen import green
+from latgreen import green, integrand
 from latgreen.integrand import coefficient_table, staircase_js
 from latgreen.errors import DomainError
 from latgreen.integrand import (
@@ -297,6 +299,58 @@ def _piece_spec(d, j):
     spec = build_integrand(d, min(max(2 * j - d + 1.0, -d - 1.0), d + 1.0))
     assert spec.j == j
     return spec
+
+
+def _one_piece_cases():
+    for d in range(1, 8):
+        for j in range(-1, d + 1):
+            yield d, j
+    for d in (8, 40, 120):
+        for j in (-1, 0, d // 2, d - 1, d):
+            yield d, j
+    yield 1023, -1
+    yield 1023, 1023
+
+
+@pytest.mark.parametrize("d, j", list(_one_piece_cases()))
+def test_one_piece_row_is_bitwise_per_piece(d, j):
+    # one row of a piece forms only the parities and the powers its terms
+    # have: an accumulator no term reaches stays 0.0, and the m = d and
+    # m = 0 factors are ibar^d and kbar^d, with no x**0; either keeps the
+    # bits of the reference, which forms both parts and every power
+    spec = _piece_spec(d, j)
+    for level in (0, 5):
+        table = green._bessel_nodes(level)
+        got = eval_terms(d, spec.exponents[None], table, spec.weights[None])
+        assert got.tobytes() == _per_piece_reference([spec], table).tobytes()
+
+
+def test_slot_lists_and_van_hove_grids_are_cached_and_read_only():
+    # each piece's slot list is built once from its weight row, and each
+    # d's van Hove grid once, and every caller shares them; neither is
+    # built at import
+    weights = term_weights(5, 2)
+    slots = integrand._slots(weights.tobytes())
+    assert slots == tuple(np.flatnonzero(weights).tolist())
+    assert isinstance(slots, tuple)
+    hits = integrand._slots.cache_info().hits
+    eval_terms(5, build_integrand(5, 0.5).exponents[None], green._bessel_nodes(0),
+               weights[None])
+    assert integrand._slots.cache_info().hits == hits + 1
+    grid = integrand._van_hove_grid(5)
+    assert integrand._van_hove_grid(5) is grid
+    assert grid.tolist() == [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    assert integrand._slots.cache_info().maxsize == 1024
+    assert integrand._van_hove_grid.cache_info().maxsize == 1024
+    code = ("import latgreen.integrand as i; "
+            "print(i._slots.cache_info().currsize, i._van_hove_grid.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(integrand.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_term_weights_match_coefficients():

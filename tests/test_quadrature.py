@@ -350,7 +350,7 @@ def test_roundoff_raises_the_estimate_and_moves_no_stop():
     # the reported floor is roundoff * eps * h * sum|f|, while the stop
     # tests keep 2 eps: value and evaluations keep their bits
     def f(level, ints):
-        return np.exp(-quadrature.half_line_nodes(level))
+        return np.exp(-quadrature.half_line_nodes(level))[None]  # one row
 
     cfg = QuadratureConfig()
     base, raised = (quadrature.integrate_half_line(f, 1, cfg, roundoff)[0]

@@ -6,6 +6,7 @@ import itertools
 import os
 import pathlib
 import re
+import subprocess
 import sys
 from collections import Counter, defaultdict
 
@@ -140,3 +141,16 @@ def test_pool_values_are_right_or_flagged():
     assert silent_wrong == 0
     assert len(refs) - sum(failed.values()) == 1273
     assert set(failed) == {8, 12, 20, 40, 80, 120}
+
+
+def test_time_points_runs_one_tree():
+    # one round over the first three points of each workload, in fresh
+    # interpreters on this package's own sources
+    src = os.path.dirname(os.path.dirname(green.__file__))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "time_points.py"), src,
+                          "--rounds", "1", "--limit", "3"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert ["points", "all", "3"] in [row[:3] for row in rows]
+    assert ["large-d", "all", "3"] in [row[:3] for row in rows]
