@@ -16,13 +16,11 @@ bit, whatever it is batched with.
 No term is formed where it is exactly 0.  A frequency's reach is 746/delta,
 with delta its distance to the nearest van Hove frequency
 (``integrand.van_hove_distance``): past it every term is exactly +-0, and a
-sum that starts at +0 stays +0 (see integrand.py).  So from level 3 on,
-where a level's nodes ascend in tau, each call gets only the nodes below
-its frequencies' largest reach, and the rest of each row is +0, bit for bit
-what the full table gives.  The first step's 49 nodes (level 0) are three
-ascending runs and are never cut, and an exact van Hove input (delta = 0)
-reaches every node.  delta also gives the van Hove flag and, at d <= 2,
-the divergence.
+sum that starts at +0 stays +0 (see integrand.py).  Since every level's
+nodes ascend in tau, each call gets only the nodes below its frequencies'
+largest reach, and the rest of each row is +0, bit for bit what the full
+table gives.  An exact van Hove input (delta = 0) reaches every node.
+delta also gives the van Hove flag and, at d <= 2, the divergence.
 
 The error estimate covers the integrand's own rounding, d-fold products
 of the Bessel pair: its roundoff floor is max(2, d/4) eps times the L1
@@ -95,13 +93,13 @@ def _bessel_nodes(level: int) -> BesselPair:
 
 def _eval_level(d: int, level: int, exponents: np.ndarray, weights: np.ndarray,
                 reach: np.ndarray) -> np.ndarray:
-    """``eval_terms`` of a block of rows on the nodes of ``level``: from
-    level 3 on only on the first k nodes, those below the block's largest
-    reach 746/delta, as views of the level's table, and +0 past them (see
-    the module docstring for why that moves no bit)."""
+    """``eval_terms`` of a block of rows on the nodes of ``level``: only on
+    the first k nodes, those below the block's largest reach 746/delta, as
+    views of the level's table, and +0 past them (see the module docstring
+    for why that moves no bit)."""
     table = _bessel_nodes(level)
     n = table.tau.size
-    k = n if level == 0 else int(table.tau.searchsorted(max(reach.tolist())))
+    k = int(table.tau.searchsorted(max(reach.tolist())))
     if k == n:
         return eval_terms(d, exponents, table, weights)
     out = np.zeros((len(weights), n), dtype=complex)

@@ -79,10 +79,9 @@ is finite there: inside the band delta <= 1 and tau* >= 746, where kbar
 and ibar are below 1, and outside it the one term is ibar^d <= 2^d, finite
 for d <= 1,023.  Since +0 plus +-0 is +0, each such node of a row's sum
 stays +0, so ``green_sweep`` hands ``eval_terms`` only the nodes below a
-block's largest reach and leaves the rest +0, which moves no bit.  It cuts
-from level 3 on, where a level's nodes ascend in tau, and never the first
-step's 49 nodes (level 0), which are three ascending runs; at an exact van
-Hove input delta = 0 and nothing is cut.
+block's largest reach, a head of each level's nodes since they ascend in
+tau, and leaves the rest +0, which moves no bit.  At an exact van Hove
+input delta = 0 and nothing is cut.
 
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
 the weights it would move the first non-finite band value from d ~ 106 to
@@ -288,10 +287,9 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     and m = 0 factors are ibar^d and kbar^d, which moves no bit (see the
     module docstring).  An underflowed term adds exactly +-0, and past a
     row's reach 746/delta every term does, so that row stays +0 there;
-    ``green_sweep`` therefore passes, from level 3 on, only the nodes below
-    a block's largest reach (never cutting level 0) without moving a bit
-    (see the module docstring).  An overflow shows as a non-finite value,
-    which the quadrature flags.
+    ``green_sweep`` therefore passes only the nodes below a block's largest
+    reach without moving a bit (see the module docstring).  An overflow
+    shows as a non-finite value, which the quadrature flags.
     """
     tau, n = table.tau, len(weights)
     # a piece is identified by its terms, and the rows are ordered by piece

@@ -21,10 +21,11 @@ that floor in the reported estimate (``roundoff``) without moving a stop.
 
 One level loop serves many integrals at once (a frequency grid), one
 column each.  The stop tests start at level 2, so the loop's first step
-evaluates the 49 nodes (13 + 12 + 24) of levels 0, 1 and 2, and each later
-level its new nodes, in one integrand call per block of columns.  Each
-column is summed on its own nodes, level by level, so no sum depends on
-how its nodes were grouped into calls.
+evaluates level 2's whole grid of 49 nodes, whose strided slices are the
+13 + 12 + 24 nodes new at levels 0, 1 and 2, and each later level its new
+nodes, in one integrand call per block of columns.  Each level's nodes
+ascend in tau.  Each column is summed on its own nodes, level by level, so
+no sum depends on how its nodes were grouped into calls.
 
 Each column stops on its own: by the rule above; when its floor exceeds
 its tolerance and its error is within 100 floors, since it can then only
@@ -35,7 +36,6 @@ infinite error estimate.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +60,10 @@ _TS_UMAX = 6.08
 _BASE_H = 1.0
 
 # The first step of the level loop evaluates the nodes of the levels below
-# this one in one call.
+# this one in one call: the last one's whole grid, in which the nodes new at
+# levels 0, 1 and 2 are these slices.
 _FIRST_LEVELS = 3
+_FIRST_PARTS = (slice(0, None, 4), slice(2, None, 4), slice(1, None, 2))
 
 # Largest max_levels accepted: the nodes new at a level number about
 # 6.1 * 2^level, so a larger budget could exhaust memory before a column
@@ -99,20 +101,16 @@ class QuadratureResult:
     converged: bool
 
 
-def _new_us(level: int) -> np.ndarray:
-    # new trapezoidal abscissae introduced at this refinement level
+def _grid_us(level: int) -> np.ndarray:
+    # every trapezoidal abscissa k h of this level, |k h| <= _TS_UMAX, ascending
     h = _BASE_H / 2**level
-    if level == 0:
-        n = int(math.floor(_TS_UMAX / h))
-        return h * np.arange(-n, n + 1)
-    ks = np.arange(1, int(math.floor(_TS_UMAX / h)) + 1, 2)
-    return np.concatenate((-h * ks[::-1], h * ks))
+    n = int(math.floor(_TS_UMAX / h))
+    return h * np.arange(-n, n + 1)
 
 
-def _level_nodes(level: int):
-    """Tanh-sinh nodes new at ``level`` on (0, 1): (alpha, 1-alpha, weight),
-    both ends stable."""
-    u = _new_us(level)
+def _nodes(u: np.ndarray):
+    """Tanh-sinh nodes on (0, 1) at the abscissae ``u``: (alpha, 1-alpha,
+    weight), both ends stable."""
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
     lo = e / (1.0 + e)          # distance to the nearer endpoint
@@ -123,25 +121,29 @@ def _level_nodes(level: int):
     return alpha, alphac, w
 
 
+def _level_nodes(level: int):
+    """The nodes new at ``level``, ascending: its whole grid at level 0,
+    and from level 1 on the abscissae k h of its grid with k odd."""
+    u = _grid_us(level)  # u[i] = (i - n) h, n = u.size // 2: odd k from i = 1 - n % 2
+    return _nodes(u if level == 0 else u[1 - u.size // 2 % 2::2])
+
+
 @functools.lru_cache(maxsize=None)  # one entry per evaluating level
 def _ts_nodes(level: int):
-    """The nodes the level loop evaluates at ``level``: (alpha, 1-alpha,
-    weight, ends).
+    """The nodes the level loop evaluates at ``level``, ascending: (alpha,
+    1-alpha, weight, parts).
 
-    Level 0 is the first step: the nodes of levels 0, 1 and 2, in that
-    order, those of level k ending at ``ends[k]``.  A level from 3 on has
-    the nodes new at it, and ``ends`` is their count.  Levels 1 and 2
-    evaluate nothing of their own.
+    Level 0 is the first step: level 2's whole trapezoidal grid, u = k/4
+    for |k| <= 24, whose slices ``parts`` are the nodes new at levels 0, 1
+    and 2.  A level from 3 on has the nodes new at it, one part.  Levels 1
+    and 2 evaluate nothing of their own.
     """
     if 0 < level < _FIRST_LEVELS:
         raise ValueError(f"level {level} is part of the first step, level 0")
-    levels = range(_FIRST_LEVELS) if level == 0 else (level,)
-    per_level = [_level_nodes(k) for k in levels]
-    nodes = tuple(np.concatenate(arrs) for arrs in zip(*per_level))
+    nodes = _nodes(_grid_us(_FIRST_LEVELS - 1)) if level == 0 else _level_nodes(level)
     for arr in nodes:  # shared by every caller
         arr.flags.writeable = False
-    ends = tuple(itertools.accumulate(alpha.size for alpha, _, _ in per_level))
-    return (*nodes, ends)
+    return (*nodes, _FIRST_PARTS if level == 0 else (slice(None),))
 
 
 def _cabs(z: np.ndarray) -> np.ndarray:
@@ -150,17 +152,16 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _tanh_sinh(f, scale, n: int, cfg: QuadratureConfig,
+def _tanh_sinh(f, n: int, cfg: QuadratureConfig,
                roundoff: float = 2.0) -> list[QuadratureResult]:
     """Run the level loop for n integrals over (0, 1) at once, one column
     each.
 
-    ``f(level, alpha, alphac, ints)`` returns the integrands ``ints`` (one
-    row each) at the nodes that ``_ts_nodes(level)`` evaluates, and
-    ``scale(vals, alpha, alphac)`` turns such rows into integrands over
-    (0, 1).  Each evaluating level makes one ``f`` call per block of the
+    ``f(level, alpha, alphac, ints)`` returns the integrands over (0, 1)
+    ``ints`` (one row each) at the nodes that ``_ts_nodes(level)``
+    evaluates.  Each evaluating level makes one ``f`` call per block of the
     columns still refining, and each column is summed on its own level
-    slices.  So a column that stops at level L >= 2 took L - 1 calls, and
+    parts.  So a column that stops at level L >= 2 took L - 1 calls, and
     one that stops earlier, on a non-finite sum, reports the 49 evaluations
     of the first step.  The stop tests use the floor 2*eps*h*sum|f|; the
     reported estimate uses ``roundoff``*eps*h*sum|f|, for an integrand that
@@ -179,18 +180,18 @@ def _tanh_sinh(f, scale, n: int, cfg: QuadratureConfig,
             if level == 0 or level >= _FIRST_LEVELS:
                 # sums[k] and l1s[k]: each column's weighted sum and L1 sum
                 # over the nodes of level ``level + k``
-                alpha, alphac, w, ends = _ts_nodes(level)
-                sums = np.empty((len(ends), cols.size), dtype=complex)
-                l1s = np.empty((len(ends), cols.size))
+                alpha, alphac, w, parts = _ts_nodes(level)
+                sums = np.empty((len(parts), cols.size), dtype=complex)
+                l1s = np.empty((len(parts), cols.size))
                 step = max(1, _BLOCK_ELEMENTS // alpha.size)
                 for i in range(0, cols.size, step):
                     block = slice(i, i + step)
-                    vals = w * scale(f(level, alpha, alphac, cols[block]), alpha, alphac)
+                    vals = w * f(level, alpha, alphac, cols[block])
                     mags = np.abs(vals)
-                    for k, (a, b) in enumerate(zip((0, *ends), ends)):
+                    for k, part in enumerate(parts):
                         # what ndarray.sum calls, without its wrapper
-                        sums[k, block] = np.add.reduce(vals[:, a:b], axis=1)
-                        l1s[k, block] = np.add.reduce(mags[:, a:b], axis=1)
+                        sums[k, block] = np.add.reduce(vals[:, part], axis=1)
+                        l1s[k, block] = np.add.reduce(mags[:, part], axis=1)
                 count += alpha.size
                 first = level
             total += sums[level - first]
@@ -241,12 +242,13 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
     cfg = cfg or QuadratureConfig()
     a = check_real("a", a)
     b = check_real("b", b, a, strict=True)
-    span = b - a
+    span = check_real("b - a", b - a)
 
     def g(level, alpha, alphac, ints):
-        return np.reshape(f(np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)), (1, -1))
+        x = np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)
+        return span * np.reshape(f(x), (1, -1))
 
-    return _tanh_sinh(g, lambda vals, alpha, alphac: span * vals, 1, cfg)[0]
+    return _tanh_sinh(g, 1, cfg)[0]
 
 
 def half_line_nodes(level: int) -> np.ndarray:
@@ -266,8 +268,8 @@ def integrate_half_line(f, n: int, cfg: QuadratureConfig,
     """
     # dtau = dalpha/(1-alpha)^2, divided twice to keep every intermediate
     # in range
-    return _tanh_sinh(lambda level, alpha, alphac, ints: f(level, ints),
-                      lambda vals, alpha, alphac: (vals / alphac) / alphac, n, cfg, roundoff)
+    return _tanh_sinh(lambda level, alpha, alphac, ints: (f(level, ints) / alphac) / alphac,
+                      n, cfg, roundoff)
 
 
 def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:

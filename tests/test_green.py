@@ -250,9 +250,9 @@ def test_sweep_divergence_follows_tail_class(d):
 ])
 def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
     # each level evaluates the frequencies that still refine in one call,
-    # on the level's cached Bessel table or, from level 3 on, views of its
-    # first k nodes, those below the rows' reach: (3, 0.5) stops at level
-    # 5 (389 evaluations), so levels 0, 3, 4 and 5 make one call each
+    # on the level's cached Bessel table or views of its first k nodes,
+    # those below the rows' reach: (3, 0.5) stops at level 5 (389
+    # evaluations), so levels 0, 3, 4 and 5 make one call each
     tables = []
 
     def eval_terms(d, exponents, table, weights):
@@ -267,12 +267,12 @@ def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
 
 
 def _is_head_of(table, level):
-    # the level's cached table itself, or from level 3 on views of the
-    # first k entries of each of its arrays
+    # the level's cached table itself, or views of the first k entries of
+    # each of its arrays
     cached = green._bessel_nodes(level)
     if table is cached:
         return True
-    return level >= 3 and all(
+    return all(
         part.base is whole and part.ctypes.data == whole.ctypes.data
         and part.size < whole.size
         for part, whole in zip(vars(table).values(), vars(cached).values()))
@@ -286,14 +286,13 @@ def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
         for name, arr in vars(table).items():
             assert not arr.flags.writeable
             assert arr.tobytes() == getattr(ref, name).tobytes()
-    # from level 3 on a table ascends strictly in tau, so the nodes below a
-    # reach are its first k; the first step's 49 nodes do not
-    for level in range(3, QuadratureConfig().max_levels + 1):
+    # every evaluating level's table ascends strictly in tau, the first
+    # step's 49 nodes included, so the nodes below a reach are its first k
+    for level in (0, *range(3, QuadratureConfig().max_levels + 1)):
         assert (np.diff(green._bessel_nodes(level).tau) > 0).all()
     for level in range(QuadratureConfig().max_levels + 1, quadrature._MAX_LEVELS + 1):
         alpha, alphac, _ = quadrature._level_nodes(level)  # uncached
         assert (np.diff(alpha / alphac) > 0).all()
-    assert not (np.diff(green._bessel_nodes(0).tau) > 0).all()
 
 
 def test_piece_beyond_the_double_range_raises_domain_error():

@@ -175,9 +175,10 @@ def test_finite_bad_interval():
 
 @pytest.mark.parametrize("a,b", [
     (True, 2.0), ("0", 1.0), (0.0, math.inf), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0),
+    (-1e308, 1e308),
 ])
 def test_finite_ends_follow_the_input_rule(a, b):
-    # each end is a finite real, not a bool, and b > a
+    # each end is a finite real, not a bool, and b > a by a finite length
     with pytest.raises(DomainError):
         integrate_finite(lambda x: x, a, b)
 
@@ -214,7 +215,19 @@ def test_every_level_node_lies_inside_with_positive_weight():
         assert (alpha > 0).all() and (alphac > 0).all() and (w > 0).all()
 
 
-def _tanh_sinh_reference(f, scale, n, cfg, roundoff=2.0):
+def test_first_step_is_the_per_level_nodes_in_ascending_order():
+    # the first step evaluates level 2's whole grid, ascending in tau; its
+    # parts are the nodes new at levels 0, 1 and 2, bit for bit and in
+    # their order, which keeps every sub-level sum's bits
+    *first, parts = quadrature._ts_nodes(0)
+    assert first[0].size == 49 and (np.diff(first[0] / first[1]) > 0).all()
+    assert sorted(i for part in parts for i in np.arange(49)[part].tolist()) == list(range(49))
+    for level, part in enumerate(parts):
+        for got, ref in zip(first, quadrature._level_nodes(level)):
+            assert got[part].tobytes() == ref.tobytes()
+
+
+def _tanh_sinh_reference(f, n, cfg, roundoff=2.0):
     """The level loop with one ``f`` call per level, levels 0, 1 and 2
     included: the loop that the first step replaced, kept as the bitwise
     reference for it."""
@@ -231,8 +244,7 @@ def _tanh_sinh_reference(f, scale, n, cfg, roundoff=2.0):
             step = max(1, quadrature._BLOCK_ELEMENTS // alpha.size)
             for i in range(0, cols.size, step):
                 block = slice(i, i + step)
-                rows = np.atleast_2d(f(level, alpha, alphac, cols[block]))
-                vals = w * scale(rows, alpha, alphac)
+                vals = w * np.atleast_2d(f(level, alpha, alphac, cols[block]))
                 total[block] += vals.sum(axis=1)
                 l1[block] += np.abs(vals).sum(axis=1)
             count += alpha.size

@@ -9,12 +9,17 @@ trees alternating which goes first.  An interpreter evaluates every
 the caches, then times each point's ``green_local`` call over 5 passes and
 keeps its best time; across rounds each point keeps its best again.  Then
 it runs one more pass under cProfile, which counts the function calls per
-point: a count that does not depend on the machine or its load.
+point, and calls each point once more with ``green.eval_terms`` wrapped,
+which counts the nodes (rows x nodes) handed to it: counts that do not
+depend on the machine or its load.  The evaluations per point count every
+node of each level the point ran; the nodes per point count those it
+formed terms on, so their gap is what the cut at the reach skipped.
 
 The report gives, per workload and per (set, d): the number of points,
-the p50, p90 and mean of the points' best times, the function calls and
-the integrand evaluations per point, and, with two trees, B's mean over
-A's.  ``--limit N`` takes only the first N points of each workload.
+the p50, p90 and mean of the points' best times, the function calls, the
+integrand evaluations and the nodes formed per point, and, with two
+trees, B's mean over A's.  ``--limit N`` takes only the first N points of
+each workload.
 
 These are best-of-passes times of single calls in a quiet process, which
 is where a change's cost shows first.  They are not the benchmark:
@@ -54,9 +59,9 @@ def pool_points(limit: int | None) -> list[tuple[str, str, int, float]]:
 
 
 def worker(limit: int | None) -> dict:
-    """In this interpreter: each point's best time, function calls and
-    evaluations."""
-    from latgreen import green_local
+    """In this interpreter: each point's best time, function calls,
+    evaluations and nodes formed."""
+    from latgreen import green, green_local
 
     points = pool_points(limit)
     for _, _, d, w in points:  # fill the caches
@@ -68,7 +73,13 @@ def worker(limit: int | None) -> dict:
             t0 = clock()
             green_local(d, w)
             best[i] = min(best[i], clock() - t0)
-    calls, evals = [], []
+    calls, evals, nodes = [], [], []
+    eval_terms, formed = green.eval_terms, []
+
+    def counted(d, exponents, table, weights):
+        formed.append(len(weights) * table.tau.size)
+        return eval_terms(d, exponents, table, weights)
+
     for _, _, d, w in points:
         prof = cProfile.Profile()
         prof.enable()
@@ -77,7 +88,15 @@ def worker(limit: int | None) -> dict:
         # less the one call of prof.disable itself
         calls.append(pstats.Stats(prof).total_calls - 1)
         evals.append(res.evaluations)
-    return {"best": best, "calls": calls, "evals": evals}
+        # outside the profile, so the wrapper adds no calls to its count
+        formed.clear()
+        green.eval_terms = counted
+        try:
+            green_local(d, w)
+        finally:
+            green.eval_terms = eval_terms
+        nodes.append(sum(formed))
+    return {"best": best, "calls": calls, "evals": evals, "nodes": nodes}
 
 
 def run_tree(src: str, limit: int | None) -> dict:
@@ -104,7 +123,7 @@ def report(points, results: list[dict]) -> list[str]:
         groups.setdefault((workload, f"{name} d={d}"), []).append(i)
     head = f"{'workload':<8} {'group':<22} {'n':>4}"
     for tag in "AB"[:len(results)]:
-        head += f" | {tag} p50 ms  p90 ms mean ms calls/pt evals/pt"
+        head += f" | {tag} p50 ms  p90 ms mean ms calls/pt evals/pt nodes/pt"
     if len(results) == 2:
         head += " | B/A mean"
     lines = [head]
@@ -116,7 +135,8 @@ def report(points, results: list[dict]) -> list[str]:
             means.append(statistics.fmean(t))
             line += (f" | {statistics.median(t):8.3f} {percentile(t, 90):7.3f}"
                      f" {means[-1]:7.3f} {statistics.fmean(res['calls'][i] for i in idx):8.1f}"
-                     f" {statistics.fmean(res['evals'][i] for i in idx):8.1f}")
+                     f" {statistics.fmean(res['evals'][i] for i in idx):8.1f}"
+                     f" {statistics.fmean(res['nodes'][i] for i in idx):8.1f}")
         if len(results) == 2:
             line += f" | {means[1] / means[0]:8.3f}"
         lines.append(line)
