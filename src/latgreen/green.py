@@ -138,7 +138,6 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     with its own stop rule.  d and every frequency are validated before any
     is integrated.
     """
-    cfg = cfg or QuadratureConfig()
     d, omegas, js, exponents = admit(d, omegas)
     delta = van_hove_distance(exponents)
     adjacent = (delta <= VAN_HOVE_ADJACENT_TOL * max(1.0, d)).tolist()

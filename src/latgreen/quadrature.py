@@ -24,14 +24,17 @@ column each.  The stop tests start at level 2, so the loop's first step
 evaluates level 2's whole grid of 49 nodes, whose strided slices are the
 13 + 12 + 24 nodes new at levels 0, 1 and 2, and each later level its new
 nodes, in one integrand call per block of columns.  Each level's nodes
-ascend in tau.  Each column is summed on its own nodes, level by level, so
-no sum depends on how its nodes were grouped into calls.
+ascend in tau, and one cached row multiplies its integrand rows: the
+weights, which on (0, inf) carry the Jacobian dtau/dalpha = 1/(1-alpha)^2
+and stay finite (at most 9.3e300), since _TS_UMAX keeps 1-alpha normal.
+Each column is summed on its own nodes, level by level, so no sum depends
+on how its nodes were grouped into calls.
 
 Each column stops on its own: by the rule above; when its floor exceeds
 its tolerance and its error is within 100 floors, since it can then only
 end nonconverged and further levels sample roundoff noise; or as soon as
 its sums are not finite, in which case it comes back nonconverged with an
-infinite error estimate.
+infinite error estimate.  Levels 0 and 1 test nothing; they only add.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 
 # Node generation limit: |v| = (pi/2)sinh|u| capped so that e^{-2v} stays
-# normal.
+# normal, and with it 1-alpha, so a weight row on (0, inf), ~ e^{2v}, is finite.
 _TS_UMAX = 6.08
 _BASE_H = 1.0
 
@@ -91,6 +94,9 @@ class QuadratureConfig:
     def fast(cls) -> "QuadratureConfig":
         """Loose preset for large-d sweeps and expensive nested integrals."""
         return cls(rel_tol=1e-8, abs_tol=1e-10, max_levels=10)
+
+
+DEFAULT_CONFIG = QuadratureConfig()  # of every call made without one
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ def _level_nodes(level: int):
 @functools.lru_cache(maxsize=None)  # one entry per evaluating level
 def _ts_nodes(level: int):
     """The nodes the level loop evaluates at ``level``, ascending: (alpha,
-    1-alpha, weight, parts).
+    1-alpha, weight, weight times dtau/dalpha on (0, inf), parts).
 
     Level 0 is the first step: level 2's whole trapezoidal grid, u = k/4
     for |k| <= 24, whose slices ``parts`` are the nodes new at levels 0, 1
@@ -140,7 +146,8 @@ def _ts_nodes(level: int):
     """
     if 0 < level < _FIRST_LEVELS:
         raise ValueError(f"level {level} is part of the first step, level 0")
-    nodes = _nodes(_grid_us(_FIRST_LEVELS - 1)) if level == 0 else _level_nodes(level)
+    alpha, alphac, w = _level_nodes(level) if level else _nodes(_grid_us(_FIRST_LEVELS - 1))
+    nodes = (alpha, alphac, w, (w / alphac) / alphac)  # in range, divided twice
     for arr in nodes:  # shared by every caller
         arr.flags.writeable = False
     return (*nodes, _FIRST_PARTS if level == 0 else (slice(None),))
@@ -152,20 +159,19 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _tanh_sinh(f, n: int, cfg: QuadratureConfig,
+def _tanh_sinh(f, weights, n: int, cfg: QuadratureConfig,
                roundoff: float = 2.0) -> list[QuadratureResult]:
-    """Run the level loop for n integrals over (0, 1) at once, one column
-    each.
+    """Run the level loop for n integrals over (0, 1) at once, one column each.
 
-    ``f(level, alpha, alphac, ints)`` returns the integrands over (0, 1)
-    ``ints`` (one row each) at the nodes that ``_ts_nodes(level)``
-    evaluates.  Each evaluating level makes one ``f`` call per block of the
-    columns still refining, and each column is summed on its own level
-    parts.  So a column that stops at level L >= 2 took L - 1 calls, and
-    one that stops earlier, on a non-finite sum, reports the 49 evaluations
-    of the first step.  The stop tests use the floor 2*eps*h*sum|f|; the
-    reported estimate uses ``roundoff``*eps*h*sum|f|, for an integrand that
-    carries more rounding than its sum, and so moves no stop.
+    ``f(level, alpha, alphac, ints)`` returns the integrands ``ints`` (one
+    row each) at the nodes of ``_ts_nodes(level)``, and ``weights(level)``
+    the row that multiplies them: the nodes' weights, times any factor of
+    the caller's substitution.  Each evaluating level makes one ``f`` call
+    per block of the columns still refining, and each column is summed on
+    its own level parts, so a column stops at a level L >= 2 after L - 1
+    calls.  The stop tests use the floor 2*eps*h*sum|f|; the reported
+    estimate uses ``roundoff``*eps*h*sum|f|, for an integrand that carries
+    more rounding than its sum, and so moves no stop.
     """
     # per column: value, error, roundoff floor and evaluations at its stop
     value, err, floor = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
@@ -173,14 +179,13 @@ def _tanh_sinh(f, n: int, cfg: QuadratureConfig,
     # running state of the columns still refining, in the order of ``cols``
     cols = np.arange(n)
     total, l1 = np.zeros(n, dtype=complex), np.zeros(n)
-    e = np.full(n, math.inf)
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(cfg.max_levels + 1):
             if level == 0 or level >= _FIRST_LEVELS:
                 # sums[k] and l1s[k]: each column's weighted sum and L1 sum
                 # over the nodes of level ``level + k``
-                alpha, alphac, w, parts = _ts_nodes(level)
+                (alpha, alphac, *_, parts), w = _ts_nodes(level), weights(level)
                 sums = np.empty((len(parts), cols.size), dtype=complex)
                 l1s = np.empty((len(parts), cols.size))
                 step = max(1, _BLOCK_ELEMENTS // alpha.size)
@@ -198,29 +203,28 @@ def _tanh_sinh(f, n: int, cfg: QuadratureConfig,
             l1 += l1s[level - first]
             h = _BASE_H / 2**level
             v = h * total
+            if level < _FIRST_LEVELS - 1:
+                prev = v
+                continue
             ok = np.isfinite(total) & np.isfinite(l1)
-            # a non-finite sum never recovers; it is flagged below
-            stop = ~ok
-            if level >= 1:
-                e = _cabs(v - prev)
-            if level >= 2:
-                fl = 2.0 * _EPS * h * l1
-                tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(v))
-                # once err is within a small factor of the cancellation
-                # floor, further refinement cannot improve the attainable
-                # accuracy; a floor above the tolerance means the column
-                # ends nonconverged however long it runs
-                stop |= e <= np.maximum(tol, 4.0 * fl)
-                stop |= (fl > tol) & (e <= 100.0 * fl)
-            if level == cfg.max_levels:
-                stop[:] = True
+            stop = ~ok  # a non-finite sum never recovers; it is flagged below
+            e = _cabs(v - prev)
+            fl = 2.0 * _EPS * h * l1
+            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(v))
+            # once err is within a small factor of the cancellation floor,
+            # further refinement cannot improve the attainable accuracy; a
+            # floor above the tolerance means the column ends nonconverged
+            # however long it runs
+            stop |= e <= np.maximum(tol, 4.0 * fl)
+            stop |= (fl > tol) & (e <= 100.0 * fl)
+            stop |= level == cfg.max_levels
             if stop.any():
                 done = cols[stop]
                 value[done], err[done], finite[done] = v[stop], e[stop], ok[stop]
                 floor[done] = roundoff * _EPS * h * l1[stop]
                 evals[done] = count
                 keep = ~stop
-                cols, total, l1, v, e = cols[keep], total[keep], l1[keep], v[keep], e[keep]
+                cols, total, l1, v = cols[keep], total[keep], l1[keep], v[keep]
                 if cols.size == 0:
                     break
                 sums, l1s = sums[:, keep], l1s[:, keep]
@@ -239,7 +243,6 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
     """Tanh-sinh integral of f over [a, b], tolerant of integrable endpoint
     singularities.  Nodes near either endpoint are placed by their distance
     to that endpoint, so the singular behaviour is sampled accurately."""
-    cfg = cfg or QuadratureConfig()
     a = check_real("a", a)
     b = check_real("b", b, a, strict=True)
     span = check_real("b - a", b - a)
@@ -248,7 +251,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadratureConfig | None = None)
         x = np.where(alpha <= 0.5, a + span * alpha, b - span * alphac)
         return span * np.reshape(f(x), (1, -1))
 
-    return _tanh_sinh(g, 1, cfg)[0]
+    return _tanh_sinh(g, lambda level: _ts_nodes(level)[2], 1, cfg or DEFAULT_CONFIG)[0]
 
 
 def half_line_nodes(level: int) -> np.ndarray:
@@ -258,7 +261,7 @@ def half_line_nodes(level: int) -> np.ndarray:
     return alpha / alphac
 
 
-def integrate_half_line(f, n: int, cfg: QuadratureConfig,
+def integrate_half_line(f, n: int, cfg: QuadratureConfig | None,
                         roundoff: float = 2.0) -> list[QuadratureResult]:
     """Integrals over (0, inf) of n integrands with integrable tails at once.
 
@@ -266,10 +269,9 @@ def integrate_half_line(f, n: int, cfg: QuadratureConfig,
     ``half_line_nodes(level)``.  Integral i is column i of one level loop;
     ``roundoff`` sets its reported roundoff floor (see ``_tanh_sinh``).
     """
-    # dtau = dalpha/(1-alpha)^2, divided twice to keep every intermediate
-    # in range
-    return _tanh_sinh(lambda level, alpha, alphac, ints: (f(level, ints) / alphac) / alphac,
-                      n, cfg, roundoff)
+    # each level's weight row carries dtau = dalpha/(1-alpha)^2, finite (see _TS_UMAX)
+    return _tanh_sinh(lambda level, alpha, alphac, ints: f(level, ints),
+                      lambda level: _ts_nodes(level)[3], n, cfg or DEFAULT_CONFIG, roundoff)
 
 
 def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -277,6 +279,5 @@ def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> Quadrature
     integrable; a non-converged result is returned with ``converged=False``
     rather than raised.
     """
-    cfg = cfg or QuadratureConfig()
     return integrate_half_line(lambda level, ints: np.reshape(f(half_line_nodes(level)), (1, -1)),
                                1, cfg)[0]

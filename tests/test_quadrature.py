@@ -9,7 +9,7 @@ import pytest
 
 from latgreen.bessel import k0e
 from latgreen.errors import DomainError
-from latgreen.integrand import bessel_table
+from latgreen.integrand import admit, bessel_table, term_weights, van_hove_distance
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
 from latgreen.oracles import dos_normalization
@@ -227,10 +227,39 @@ def test_first_step_is_the_per_level_nodes_in_ascending_order():
             assert got[part].tobytes() == ref.tobytes()
 
 
-def _tanh_sinh_reference(f, n, cfg, roundoff=2.0):
+def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero(monkeypatch):
+    # each evaluating level's cached row carries the Jacobian, bitwise the
+    # division the integrand once made; _TS_UMAX keeps it finite, so an
+    # integrand row that is +0 past its reach stays +0 (finite * 0, never
+    # inf * 0 = NaN).  Outside the band at d = 3, omega = 10, the reach is
+    # 746/7 and cuts every level; the Bessel tables are built uncached.
+    monkeypatch.setattr(green, "_bessel_nodes",
+                        lambda level: bessel_table(quadrature.half_line_nodes(level)))
+    d, _, js, exponents = admit(3, [10.0, -10.0])
+    reach = green._EXP_ZERO / van_hove_distance(exponents)
+    terms = np.array([term_weights(d, j) for j in js.tolist()])
+    largest = 0.0
+    for level in (0, *range(quadrature._FIRST_LEVELS, quadrature._MAX_LEVELS + 1)):
+        _, alphac, w, row, _ = quadrature._ts_nodes(level)
+        assert row is quadrature._ts_nodes(level)[3] and not row.flags.writeable
+        assert row.tobytes() == ((w / alphac) / alphac).tobytes()
+        assert np.isfinite(row).all() and (row > 0).all()
+        largest = max(largest, row.max())
+        vals = green._eval_level(d, level, exponents, terms, reach)
+        cut = quadrature.half_line_nodes(level) > reach.max()
+        assert cut.any() and not vals[:, cut].any()
+        weighted = row * vals
+        assert np.isfinite(weighted).all() and not weighted[:, cut].any()
+        assert not np.signbit(weighted[:, cut].real).any()
+        assert not np.signbit(weighted[:, cut].imag).any()
+    assert 9e300 < largest < 1e301
+
+
+def _tanh_sinh_reference(f, weights, n, cfg, roundoff=2.0):
     """The level loop with one ``f`` call per level, levels 0, 1 and 2
     included: the loop that the first step replaced, kept as the bitwise
-    reference for it."""
+    reference for it.  It multiplies by the same weight rows, those of the
+    first step sliced into its three levels."""
     _EPS, _BASE_H, _cabs = quadrature._EPS, quadrature._BASE_H, quadrature._cabs
     value, err, floor = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
     evals, finite = np.empty(n, dtype=int), np.empty(n, dtype=bool)
@@ -240,7 +269,9 @@ def _tanh_sinh_reference(f, n, cfg, roundoff=2.0):
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(cfg.max_levels + 1):
-            alpha, alphac, w = _per_level_nodes(level)
+            alpha, alphac, _ = _per_level_nodes(level)
+            w = (weights(level) if level >= quadrature._FIRST_LEVELS
+                 else weights(0)[quadrature._FIRST_PARTS[level]])
             step = max(1, quadrature._BLOCK_ELEMENTS // alpha.size)
             for i in range(0, cols.size, step):
                 block = slice(i, i + step)
@@ -356,6 +387,20 @@ def test_non_finite_first_level_reports_the_first_step(monkeypatch):
     assert not res.converged and res.abs_error_estimate == math.inf
     assert (res.evaluations, ref.evaluations) == (49, 13)
     assert repr(res) == repr(dataclasses.replace(ref, evaluations=49))
+
+
+def test_stop_tests_start_at_level_2():
+    # levels 0 and 1 only add: an integrand that is 0 on their nodes gives
+    # them equal sums, which a stop test at level 1 would accept, while
+    # level 2's nodes show that the column has far to go
+    def f(level, ints):
+        row = (1.0 + quadrature.half_line_nodes(level)) ** -2.0
+        if level == 0:
+            row[quadrature._FIRST_PARTS[0]] = row[quadrature._FIRST_PARTS[1]] = 0.0
+        return row[None]
+
+    res = quadrature.integrate_half_line(f, 1, QuadratureConfig())[0]
+    assert res.evaluations > 49
 
 
 def test_roundoff_raises_the_estimate_and_moves_no_stop():

@@ -94,15 +94,17 @@ def test_dump_records_compare_reports_by_d(tmp_path, capsys):
     assert records[0]["value"] == green_local(8, records[0]["omega"]).value
     capsys.readouterr()
 
-    def compare(new_lines):
-        new = tmp_path / "new.txt"
-        new.write_text("".join(line + "\n" for line in new_lines))
-        code = dump.main(["--compare", str(old), str(new)])
+    def compare(new_lines, old_lines=lines):
+        for path, text in ((old, old_lines), (tmp_path / "new.txt", new_lines)):
+            path.write_text("".join(line + "\n" for line in text))
+        code = dump.main(["--compare", str(old), str(tmp_path / "new.txt")])
         return code, capsys.readouterr().out.splitlines()
 
+    # one line per d, then one for all
     code, out = compare(lines)
-    assert code == 0 and len(out) == 3
-    assert all(" 0 of 1 records differ" in line for line in out)
+    assert code == 0 and len(out) == 4
+    assert all(" 0 of 1 records differ" in line for line in out[:3])
+    assert out[3].startswith("d=all: 0 of 3 records differ")
     # a changed value and evaluation count are reported, not failed
     value = repr(records[2]["value"])
     changed = lines[2].replace(value, repr(records[2]["value"] * (1 + 1e-15)))
@@ -110,6 +112,16 @@ def test_dump_records_compare_reports_by_d(tmp_path, capsys):
     code, out = compare([*lines[:2], changed])
     assert code == 0
     assert out[2].startswith("d=20: 1 of 1 records differ (value 1, evaluations 1)")
+    # in a record converged in both, a value moved by half its old
+    # abs_error reads 0.5 in units of that estimate, for its d and for all
+    conv = [line.replace("converged=False", "converged=True") for line in lines]
+    value, error = records[1]["value"], records[1]["abs_error"]
+    moved = conv[1].replace(repr(value), repr(value + error / 2))
+    code, out = compare([conv[0], moved, conv[2]], conv)
+    assert code == 0
+    assert out[1].startswith("d=12: 1 of 1 records differ (value 1)")
+    assert out[1].endswith("largest change / old abs_error 0.5")
+    assert out[3].endswith("largest change / old abs_error 0.5")
     # a changed flag or piece fails the comparison
     converged = records[0]["converged"]
     for name, old_text, new_text in (

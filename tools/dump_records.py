@@ -31,10 +31,12 @@ bit.  The inputs, in this order:
 ``--limit N`` stops after the first N records.
 
 ``--compare OLD NEW`` reads two dumps of the same inputs and prints, for
-each d, how many records differ, which fields differ, and the largest
-relative value change among the records converged in both.  It exits 1
-if any flag (``converged``, ``divergent``, ``van_hove_adjacent``) or
-``piece_j`` differs, and 2 if the dumps are not of the same inputs.
+each d and then for all, how many records differ, which fields differ,
+and, among the records converged in both, the largest relative value
+change and the largest value change in units of the old record's own
+``abs_error``: below 1, every moved value stays inside its estimate.  It
+exits 1 if any flag (``converged``, ``divergent``, ``van_hove_adjacent``)
+or ``piece_j`` differs, and 2 if the dumps are not of the same inputs.
 """
 from __future__ import annotations
 
@@ -132,10 +134,10 @@ def parse_record(line: str) -> dict:
     return fields
 
 
-def _relative_change(old: complex, new: complex) -> float:
+def _scaled_change(old: complex, new: complex, scale: float) -> float:
     if old == new:
         return 0.0
-    return abs(new - old) / abs(old) if old != 0 else math.inf
+    return abs(new - old) / scale if scale != 0 else math.inf
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -152,20 +154,22 @@ def compare(old_path: str, new_path: str) -> int:
     for a, b in zip(old, new):
         by_d.setdefault(a["d"], []).append((a, b))
     flags_differ = False
-    for d, pairs in sorted(by_d.items()):
-        fields, differ, worst = Counter(), 0, 0.0
+    for d, pairs in [*sorted(by_d.items()), ("all", list(zip(old, new)))]:
+        fields, differ, worst, in_error = Counter(), 0, 0.0, 0.0
         for a, b in pairs:
             # repr equality: a NaN field that stays NaN is no difference
             changed = [name for name in a if repr(a[name]) != repr(b[name])]
             differ += bool(changed)
             fields.update(changed)
             if a["converged"] and b["converged"]:
-                worst = max(worst, _relative_change(a["value"], b["value"]))
+                worst = max(worst, _scaled_change(a["value"], b["value"], abs(a["value"])))
+                in_error = max(in_error, _scaled_change(a["value"], b["value"], a["abs_error"]))
         flags_differ |= any(name in fields for name in _FLAGS)
         listed = ", ".join(f"{name} {fields[name]}" for name in pairs[0][0] if name in fields)
         print(f"d={d}: {differ} of {len(pairs)} records differ"
               + (f" ({listed})" if listed else "")
-              + f"; largest relative value change (converged in both) {worst:.3g}")
+              + f"; converged in both: largest relative value change {worst:.3g},"
+              + f" largest change / old abs_error {in_error:.3g}")
     return 1 if flags_differ else 0
 
 
