@@ -3,10 +3,11 @@ moments, and a self-test battery.
 
 Records are emitted as CSV (default) or JSON with 17 significant digits so
 doubles survive a round trip; JSON writes a non-finite float as the string
-CSV prints (``inf``, ``-inf``, ``nan``).  Exit codes: 0 success, 1
-malformed flags, input outside the domain or I/O error (one ``error:`` line
-on stderr, no traceback), 2 divergent/non-converged evaluation, 3 failed
-self-test.
+CSV prints (``inf``, ``-inf``, ``nan``), and both write a moment beyond the
+double range as the string of its 17 significant digits.  Exit codes: 0
+success, 1 malformed flags, input outside the domain or I/O error (one
+``error:`` line on stderr, no traceback), 2 divergent/non-converged
+evaluation, 3 failed self-test.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import check_integer, check_real
 from .green import GreenResult, dos, dos_from_result, green_local, green_sweep
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = ["main"]
 
@@ -120,6 +121,17 @@ def cmd_sweep(args) -> int:
     return _exit_code(results)
 
 
+def _moment_decimal(m):
+    # a moment beyond the double range is written as a string of its 17
+    # significant digits, rounded from the exact fraction, never as inf
+    try:
+        return float(m)
+    except OverflowError:
+        import decimal  # loaded on first use, not with the CLI
+
+        return _fmt(decimal.Context(prec=17).divide(m.numerator, m.denominator))
+
+
 def cmd_moments(args) -> int:
     from . import oracles  # loaded on first use, not with the CLI
 
@@ -130,7 +142,7 @@ def cmd_moments(args) -> int:
             "k": 2 * k,
             "numerator": m.numerator,
             "denominator": m.denominator,
-            "decimal": float(m),
+            "decimal": _moment_decimal(m),
         }
         for k, m in enumerate(table.moments)
     ]
@@ -143,7 +155,7 @@ def _selftest_checks(level: str):
     # installed there (perfbench's tracer) sees the calls
     from . import oracles
 
-    tight = QuadratureConfig()
+    tight = DEFAULT_CONFIG
     fast = QuadratureConfig.fast()
 
     def golden():
@@ -230,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--d", type=int, required=True, help="lattice dimension")
-        p.add_argument("--rel-tol", type=float, default=1e-13)
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     for name, record, text in (

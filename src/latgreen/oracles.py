@@ -1,12 +1,12 @@
 """Verification engines for the main evaluator, of two kinds.
 
 The independent oracles share no code path with the piecewise
-Bessel-product method: exact closed-walk moments (``moments``) feed a
-large-|omega| Laurent series (``laurent_green``), the 1d chain has a closed
-form (``g1_closed_form``), the defining Brillouin-zone integral can be
-brute-forced at finite broadening (``bz_bruteforce``), and the oscillatory
-Bessel-J Fourier integral gives a coarse few-digit cross-check
-(``bessel_j_fourier``).
+Bessel-product method: exact closed-walk moments (``moments``, one
+O(kmax^2) recurrence at any d) feed a large-|omega| Laurent series
+(``laurent_green``), the 1d chain has a closed form (``g1_closed_form``),
+the defining Brillouin-zone integral can be brute-forced at finite
+broadening (``bz_bruteforce``), and the oscillatory Bessel-J Fourier
+integral gives a coarse few-digit cross-check (``bessel_j_fourier``).
 
 The identity checks integrate the evaluator's own density of states, so
 they test it against itself: its normalization (``dos_normalization``), its
@@ -72,22 +72,20 @@ class MomentTable:
 
 
 def _walk_counts(d: int, kmax: int) -> list[int]:
-    # W_d(2k) by exact convolution over dimensions:
-    # W_d(2k) = sum_j C(2k, 2j) W_1(2j) W_{d-1}(2k-2j), W_1(2j) = C(2j, j).
-    w = [math.comb(2 * k, k) for k in range(kmax + 1)]
-    for _ in range(d - 1):
-        w = [
-            sum(
-                math.comb(2 * k, 2 * j) * math.comb(2 * j, j) * w[k - j]
-                for j in range(k + 1)
-            )
-            for k in range(kmax + 1)
-        ]
-    return w
+    # W_d(2n) = C(2n, n) G_n, G_n = (n!)^2 [y^n] I0(2 sqrt(y))^d.  The power
+    # rule for power series (Knuth, TAOCP vol. 2, 4.7), scaled to integers:
+    # n G_n = sum_{k=1..n} ((d + 1) k - n) C(n, k)^2 G_{n-k}, G_0 = 1, with
+    # an exact division by n.
+    g = [1]
+    for n in range(1, kmax + 1):
+        g.append(sum(((d + 1) * k - n) * math.comb(n, k) ** 2 * g[n - k]
+                     for k in range(1, n + 1)) // n)
+    return [math.comb(2 * n, n) * gn for n, gn in enumerate(g)]
 
 
 def moments(d: int, kmax: int) -> MomentTable:
-    """Exact rational moments m_{2k} for k = 0..kmax."""
+    """Exact rational moments m_{2k} for k = 0..kmax, by one integer
+    recurrence in k at O(kmax^2) cost for any d (``_walk_counts``)."""
     d = check_integer("d", d, 1)
     kmax = check_integer("kmax", kmax, 0, _MAX_KMAX)
     counts = _walk_counts(d, kmax)
@@ -100,13 +98,13 @@ def laurent_truncation_bound(d: int, omega: float, kmax: int) -> float:
     """Geometric-tail bound on the omitted terms of the Laurent series.
 
     Valid because consecutive moment ratios are bounded by d^2 (moments of a
-    spectral variable supported on [-d, d])."""
+    spectral variable supported on [-d, d]); formed exactly and rounded up,
+    so that it stays a bound where its factors leave the double range."""
     table = moments(d, kmax)
-    omega = _check_outside_band(d, omega)
-    ratio = (d / omega) ** 2
-    return float(
-        table.moments[kmax] * abs(omega) ** (-2 * kmax - 1) * ratio / (1.0 - ratio)
-    )
+    w = abs(Fraction(_check_outside_band(d, omega)))
+    bound = table.moments[kmax] * d * d / (w ** (2 * kmax + 1) * (w * w - d * d))
+    out = float(bound)
+    return out if out >= bound else math.nextafter(out, math.inf)
 
 
 def laurent_green(d: int, omega: float, kmax: int) -> complex:

@@ -124,6 +124,26 @@ def test_moments_json(capsys):
     assert recs[2]["numerator"] == 9 and recs[2]["denominator"] == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_moments_beyond_the_double_range(capsys, fmt):
+    # m_400 at d = 40 is about 1.4e605: its decimal is a string of 17
+    # significant digits of the exact fraction, never inf or a traceback
+    from fractions import Fraction
+
+    from latgreen.oracles import moments
+
+    code, out = run_cli(capsys, "moments", "--d", "40", "--kmax", "200",
+                        "--format", fmt)
+    assert code == 0
+    last = (list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else json.loads(out))[-1]
+    exact = Fraction(int(last["numerator"]), int(last["denominator"]))
+    assert exact == moments(40, 200).moments[-1]
+    dec = last["decimal"]
+    assert isinstance(dec, str) and dec.count("e+") == 1
+    assert len(dec.split("e")[0].replace(".", "")) == 17
+    assert abs(Fraction(dec) - exact) <= exact * Fraction(5, 10**17)
+
+
 def test_malformed_flags_exit_one(capsys):
     assert main(["eval", "--d", "3"]) == 1          # missing --omega
     capsys.readouterr()

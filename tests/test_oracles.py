@@ -43,6 +43,17 @@ def _walks_direct(d: int, k: int) -> int:
     return total
 
 
+def _walks_convolution(d: int, kmax: int) -> list[int]:
+    # the exact reference for the recurrence: W_d(2k) by convolution over
+    # dimensions, W_d(2k) = sum_j C(2k, 2j) W_1(2j) W_{d-1}(2k-2j), with
+    # W_1(2j) = C(2j, j)
+    w = [math.comb(2 * k, k) for k in range(kmax + 1)]
+    for _ in range(d - 1):
+        w = [sum(math.comb(2 * k, 2 * j) * math.comb(2 * j, j) * w[k - j]
+                 for j in range(k + 1)) for k in range(kmax + 1)]
+    return w
+
+
 def test_moment_examples():
     assert moments(1, 3).moments == (
         Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(5, 16)
@@ -57,6 +68,23 @@ def test_moment_examples():
 def test_walk_counts_against_direct_enumeration(d, k):
     table = moments(d, k)
     assert table.moments[k] * 4**k == _walks_direct(d, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 40, 120])
+@pytest.mark.parametrize("kmax", [0, 1, 5, 60])
+def test_moments_match_the_convolution_over_dimensions(d, kmax):
+    assert moments(d, kmax).moments == tuple(
+        Fraction(w, 4**k) for k, w in enumerate(_walks_convolution(d, kmax)))
+
+
+def test_moments_at_a_million_dimensions():
+    # closed forms of m_2 and m_4, and the band bound on every ratio
+    d = 10**6
+    ms = moments(d, 200).moments
+    assert ms[1] == Fraction(d, 2)
+    assert ms[2] == Fraction(12 * d * d - 6 * d, 16)
+    for a, b in zip(ms, ms[1:]):
+        assert b <= d * d * a
 
 
 def test_moments_grow_within_band_bound():
@@ -83,6 +111,16 @@ def test_laurent_truncation_bound_is_honest():
     assert laurent_truncation_bound(3, 7.0, 40) < laurent_truncation_bound(
         3, 7.0, 10
     )
+    # factors beyond the double range: 50^-201 underflows, and 50^-401
+    # overflows as a reciprocal.  The bound stays at least the first
+    # omitted term, which is at least m_{2kmax} m_2 / 50^(2kmax+3) since
+    # the moment ratios grow (m_{2k}^2 <= m_{2k-2} m_{2k+2}) from m_2 = d/2
+    exact = green_local(20, 50.0).value.real
+    for kmax in (100, 200):
+        bound = laurent_truncation_bound(20, 50.0, kmax)
+        first_omitted = moments(20, kmax).moments[-1] * 10 / Fraction(50) ** (2 * kmax + 3)
+        assert bound >= first_omitted > 0
+        assert abs(laurent_green(20, 50.0, kmax).real - exact) <= bound + 1e-15
 
 
 def test_laurent_inside_band_raises():
