@@ -1,4 +1,5 @@
-"""Exponentially scaled modified Bessel functions K0 and I0 on arrays of nodes.
+"""Scaled Bessel functions on arrays of nodes: the pair K0/I0 of the
+imaginary-axis formula, and the Hankel pair and J0 of the t0 contour.
 
 ``k0e(tau) = exp(tau)*K0(tau)`` and ``i0e(tau) = exp(-tau)*I0(tau)`` are
 evaluated in two branches each:
@@ -13,15 +14,36 @@ evaluated in two branches each:
 The integrand assembly consumes them as the pair ``(kbar, ibar)`` with
 ``kbar = exp(+tau)*(2/pi)*K0(tau)`` and ``ibar = exp(-tau)*2*I0(tau)``, which
 never overflows for any representable ``tau``.
+
+The t0 contour (see contour.py) needs two more, with no library Bessel
+function:
+
+* ``hankel_pair(z)``, the scaled Hankel pair h1e = H0^(1)(z) e^{-iz} and
+  h2e = H0^(2)(z) e^{+iz} on the ray z = t0 + i tau.  By DLMF 10.27.8,
+  h1e = (2/(pi i)) k0e(-iz) and h2e = -(2/(pi i)) k0e(iz), with k0e the
+  scaled K0 of a complex argument y.  Below |y| = 1e4 that is DLMF 10.32.8
+  with t = e^{i phi} u^2,
+
+      k0e(y) = (2y)^{-1/2} e^{i phi/2} int e^{-e^{i phi} u^2}
+               (1 + e^{i phi} u^2/(2y))^{-1/2} du,
+
+  by the trapezoid rule with step 1/8 on |u| <= 8 (129 nodes), at
+  phi = -pi/4 for h1e and +pi/4 for h2e.  The branch point of the root
+  then stays at least 3 pi/4 from the rotated path, and the integrand is
+  below 3e-20 at its ends.  From |y| = 1e4 on, the Hankel asymptotic
+  expansion (DLMF 10.40.2), six terms, is below an ulp of its sum.
+* ``j0m1(t)``, J0(t) - 1 by its power series on [0, 4], without the
+  cancellation of 1 + (J0 - 1) at small t.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BesselPair", "k0e", "i0e"]
+__all__ = ["BesselPair", "k0e", "i0e", "hankel_pair", "j0m1"]
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -39,6 +61,23 @@ _K0_SERIES = tuple(
     float(sum(1.0 / j for j in range(1, k + 1))) / math.factorial(k) ** 2
     for k in range(20, 0, -1)
 )
+
+# J0(t) - 1 = x sum_{k>=1} (-x)^{k-1}/(k!)^2, x = (t/2)^2, highest order
+# first; its 20th term is below 2e-25 of the sum at t = 4.
+_J0M1_SERIES = tuple((-1.0) ** k / math.factorial(k) ** 2 for k in range(20, 0, -1))
+
+# The trapezoid of DLMF 10.32.8: u = k/8 for 0 <= k <= 64, the even
+# integrand's nodes u != 0 counted twice, highest |u| first.
+_TRAPEZOID_U2 = (np.arange(64, -1, -1) / 8.0) ** 2
+_TRAPEZOID_W = np.where(_TRAPEZOID_U2 > 0.0, 2.0, 1.0) / 8.0
+_ASYMPTOTIC_MIN = 1e4
+# a_k(0) of DLMF 10.40.2, k = 5..0, highest order first
+_K0_ASYMPTOTIC = tuple(
+    math.prod(-((2 * i - 1) ** 2) for i in range(1, k + 1)) / (math.factorial(k) * 8.0**k)
+    for k in range(5, -1, -1)
+)
+# most (trapezoid nodes x arguments) elements formed at once
+_TRAPEZOID_ELEMENTS = 1 << 14
 
 # Chebyshev coefficients for exp(tau)*sqrt(tau)*K0(tau) in
 # t = 2*(1.0/tau) - 1, tau in [1, inf).  Fitted at 60-digit precision.
@@ -182,3 +221,40 @@ def i0e(tau):
     """
     return _scaled(tau, _I0_SERIES_MAX, lambda ts: np.exp(-ts) * _i0_series(ts), _I0E_CHEB)
 
+
+def _k0e_complex(y: np.ndarray, phi: float) -> np.ndarray:
+    """``exp(y) * K0(y)`` at complex y whose branch point -2y lies at least
+    3 pi/4 from the ray of angle ``phi``: the trapezoid below |y| = 1e4,
+    the asymptotic expansion from there on (see the module docstring)."""
+    out = np.empty_like(y)
+    far = np.abs(y) >= _ASYMPTOTIC_MIN
+    rot = cmath.exp(1j * phi)
+    c = rot * _TRAPEZOID_U2[:, None]
+    g = _TRAPEZOID_W[:, None] * np.exp(-c)
+    near = np.flatnonzero(~far)
+    step = _TRAPEZOID_ELEMENTS // _TRAPEZOID_U2.size
+    for i in range(0, near.size, step):
+        ys = y[near[i:i + step]]
+        s = (g / np.sqrt(1.0 + c * (0.5 / ys))).sum(axis=0)
+        out[near[i:i + step]] = cmath.exp(0.5j * phi) * s / np.sqrt(2.0 * ys)
+    if far.any():
+        yf = y[far]
+        out[far] = np.sqrt(0.5 * math.pi / yf) * _horner(_K0_ASYMPTOTIC, 1.0 / yf)
+    return out
+
+
+def hankel_pair(z) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled Hankel pair (h1e, h2e) = (H0^(1)(z) e^{-iz}, H0^(2)(z) e^{iz})
+    at an array of points z with Re z >= 2.5 and Im z >= 0, such as the
+    ray t0 + i tau; no input validation."""
+    z = np.asarray(z, dtype=complex)
+    scale = 2.0 / (math.pi * 1j)
+    return (scale * _k0e_complex(-1j * z, -0.25 * math.pi),
+            -scale * _k0e_complex(1j * z, 0.25 * math.pi))
+
+
+def j0m1(t):
+    """``J0(t) - 1`` by its power series, for an array of t in [0, 4]; no
+    input validation."""
+    x = 0.25 * np.asarray(t, dtype=float) ** 2
+    return x * _horner(_J0M1_SERIES, x)

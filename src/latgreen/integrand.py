@@ -32,34 +32,39 @@ Hove frequencies, each q is one rounded difference of such a frequency and
 omega, and since rounding is monotone and x - y is 0 only when x == y, the
 rounded q keeps its sign, and is exactly 0 only at an exact van Hove input.
 
-That product has a limit at large d.  As tau -> 0, ibar -> 2 while kbar
-grows like (2/pi)|ln tau|, to about 437 at the smallest node
-(tau ~ 1e-298), so kbar^d alone exceeds the double range there from
-d ~ 117 on, and the weighted terms of the band centre already from
-d ~ 106.  No other form of the term can help: since q <= 0, e^{q tau} <= 1
-cannot bring an overflowed power back into range, and where the power
-overflows |q tau| is below one ulp of 1, so exp(log power + q tau)
-overflows at exactly the same nodes.  Such a term shows as a non-finite
-value, and the quadrature flags the result.  Outside the band the one
-term left, ibar^d e^{q tau}, stays finite up to d = 1,023: ibar^d tends
-to 2^d as tau -> 0, which leaves the double range from d = 1,024 on,
-before the 1/2^d scale, so ``admit`` refuses d > 1,023.
+That product has a limit at large d, and inside the band a worse one.
+The band terms alternate, and near tau = 0 they behave like |ln tau|^d,
+a cancellation that doubles cannot resolve from d of about 8 on.  As
+tau -> 0, ibar -> 2 while kbar grows like (2/pi)|ln tau|, to about 437
+at the smallest node (tau ~ 1e-298), so kbar^d alone exceeds the double
+range there from d ~ 117 on, and the weighted terms of the band centre
+already from d ~ 106.  No other form of the term can help: since q <= 0,
+e^{q tau} <= 1 cannot bring an overflowed power back into range, and
+where the power overflows |q tau| is below one ulp of 1, so
+exp(log power + q tau) overflows at exactly the same nodes.  Such a term
+shows as a non-finite value, which the quadrature flags.  So the
+evaluator takes the band pieces of d >= 8 on the t0 contour (contour.py),
+and this formula serves every piece of d <= 7 and the outside of the band
+at any d.  There the one term left, ibar^d e^{q tau}, stays finite up to
+d = 1,023: ibar^d tends to 2^d as tau -> 0, which leaves the double range
+from d = 1,024 on, before the 1/2^d scale, so ``admit`` refuses d > 1,023.
 
 Only q depends on omega.  The weights are ``coefficient_table``'s as
 floats (``term_weights``); every piece of d <= 652 can be formed, and from
 d = 653 on ``term_weights`` raises ``DomainError`` for a band piece whose
-weights leave the double range.  The Bessel pair is a ``BesselPair`` of
-arrays built once per set of nodes; ``eval_terms`` evaluates any
-frequencies, of one piece or of many, as one term-major (frequencies x
-nodes) block, forming each term only on the rows whose weight for it is
-nonzero, so a frequency outside the band costs one term at any d.  A block
-also forms only the parities and the powers its terms have.  A part (real
-or imaginary) that no term reaches stays the scalar 0.0, which adds to the
-complex result exactly what a block of zeros would: the one term outside
-the band (m = d) is real, so such a row builds no imaginary block.  The
-m = d and m = 0 factors are ibar^d and kbar^d, since x**0 is exactly 1 and
-1*x is exactly x.  So neither moves a bit.  A piece's slot list and each
-d's van Hove grid are built on first use and shared read-only.
+weights leave the double range (the evaluator forms none of them).  The
+Bessel pair is a ``BesselPair`` of arrays built once per set of nodes;
+``eval_terms`` evaluates any frequencies, of one piece or of many, as one
+term-major (frequencies x nodes) block, forming each term only on the rows
+whose weight for it is nonzero, so a frequency outside the band costs one
+term at any d.  A block also forms only the parities and the powers its
+terms have.  A part (real or imaginary) that no term reaches stays the
+scalar 0.0, which adds to the complex result exactly what a block of zeros
+would: the one term outside the band (m = d) is real, so such a row builds
+no imaginary block.  The m = d and m = 0 factors are ibar^d and kbar^d,
+since x**0 is exactly 1 and 1*x is exactly x.  So neither moves a bit.  A
+piece's slot list and each d's van Hove grid are built on first use and
+shared read-only.
 
 Every frequency has one distance delta to its nearest van Hove frequency
 (``van_hove_distance``):

@@ -10,6 +10,8 @@ substitution ``tau = alpha/(1-alpha)``, one column per integral:
   of a power-law tail is integrable for d >= 3.
 
 Every node therefore depends only on the level, never on the integrand.
+The same loop integrates over a segment (0, length) by t = length*alpha
+(``integrate_segment``).
 
 Levels halve the step of the underlying trapezoidal sum and reuse all
 previous evaluations.  The error estimate is the difference of the last two
@@ -51,6 +53,8 @@ __all__ = [
     "QuadratureResult",
     "half_line_nodes",
     "integrate_half_line",
+    "segment_nodes",
+    "integrate_segment",
     "integrate_semiinfinite",
     "integrate_finite",
 ]
@@ -272,6 +276,26 @@ def integrate_half_line(f, n: int, cfg: QuadratureConfig | None,
     # each level's weight row carries dtau = dalpha/(1-alpha)^2, finite (see _TS_UMAX)
     return _tanh_sinh(lambda level, alpha, alphac, ints: f(level, ints),
                       lambda level: _ts_nodes(level)[3], n, cfg or DEFAULT_CONFIG, roundoff)
+
+
+def segment_nodes(level: int, length: float) -> np.ndarray:
+    """The nodes t = length*alpha on (0, length) of the nodes alpha that
+    the level loop evaluates at ``level`` (see ``_ts_nodes``)."""
+    return length * _ts_nodes(level)[0]
+
+
+def integrate_segment(f, n: int, length: float, cfg: QuadratureConfig | None,
+                      roundoff: float = 2.0) -> list[QuadratureResult]:
+    """Integrals over (0, length) of n smooth integrands at once.
+
+    ``f(level, ints)`` returns the integrands ``ints`` (one row each) at
+    ``segment_nodes(level, length)``.  Integral i is column i of one level
+    loop; ``roundoff`` sets its reported roundoff floor (see ``_tanh_sinh``).
+    """
+    # dt = length * dalpha: each level's weight row is length * w
+    return _tanh_sinh(lambda level, alpha, alphac, ints: f(level, ints),
+                      lambda level: length * _ts_nodes(level)[2], n, cfg or DEFAULT_CONFIG,
+                      roundoff)
 
 
 def integrate_semiinfinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from latgreen.bessel import i0e, k0e
+from latgreen import quadrature
+from latgreen.bessel import hankel_pair, i0e, j0m1, k0e
 from latgreen.integrand import bessel_table
 
 from reference_values import BESSEL_REFERENCE, i0_series_hp, k0_series_hp
@@ -114,3 +115,50 @@ def test_scaled_pair_stays_finite():
     pair = bessel_table(np.array([800.0, 1e8]))
     assert np.all(np.isfinite(pair.kbar)) and np.all(pair.kbar > 0.0)
     assert np.all(np.isfinite(pair.ibar)) and np.all(pair.ibar > 0.0)
+
+
+def _hankel_reference(z):
+    # h1e = (2/(pi i)) e^{-iz} K0(-iz) and h2e = -(2/(pi i)) e^{iz} K0(iz)
+    # (DLMF 10.27.8) at 40 digits
+    import mpmath as mp
+
+    with mp.workdps(40):
+        z = mp.mpc(z.real, z.imag)
+        scale = 2 / (mp.pi * 1j)
+        return (complex(scale * mp.exp(-1j * z) * mp.besselk(0, -1j * z)),
+                complex(-scale * mp.exp(1j * z) * mp.besselk(0, 1j * z)))
+
+
+@pytest.mark.parametrize("t0", [2.5, 3.0, 4.0])
+def test_hankel_pair_against_mpmath(t0):
+    # on the ray t0 + i tau: the trapezoid's range, both sides of its seam
+    # with the asymptotic expansion at |z| = 1e4, and the largest ray node
+    # of any level
+    largest = max(quadrature.half_line_nodes(level)[-1]
+                  for level in (0, *range(3, quadrature._MAX_LEVELS + 1)))
+    tau = np.concatenate([[0.0, 1e-300, 1e-8, 0.3, 1.0, 2.9, 7.0, 34.5, 300.0],
+                          np.sqrt(1e8 - t0**2) * np.array([1 - 1e-12, 1.0, 1 + 1e-12]),
+                          [1.2e4, 1e8, 1e15, 1e100, largest]])
+    h1e, h2e = hankel_pair(t0 + 1j * tau)
+    for z, got in zip(t0 + 1j * tau, zip(h1e, h2e)):
+        for g, ref in zip(got, _hankel_reference(z)):
+            assert abs(g - ref) <= 4 * EPS * abs(ref)
+
+
+def test_hankel_pair_conjugate_symmetry():
+    # on the real axis H0^(2) = conj H0^(1), so h2e = conj h1e, bit for bit
+    x = np.array([2.5, 3.0, 4.0, 17.0, 1e4, 1e300])
+    h1e, h2e = hankel_pair(x)
+    assert h2e.tobytes() == np.conj(h1e).tobytes()
+
+
+def test_j0m1_against_mpmath():
+    # J0 - 1 relative to itself on [0, 4], tiny t and the zero of J0 included
+    import mpmath as mp
+
+    t = np.concatenate([[0.0, 1e-200, 1e-8], np.linspace(0.01, 4.0, 400), [2.404825557695773]])
+    got = j0m1(t)
+    with mp.workdps(40):
+        for x, g in zip(t, got):
+            ref = mp.besselj(0, mp.mpf(x)) - 1
+            assert abs(g - ref) <= 4 * EPS * abs(ref)

@@ -165,8 +165,8 @@ def test_malformed_flags_exit_one(capsys):
     ["sweep", "--d", "1", "--omega-min", "0", "--omega-max", "1", "--steps", "1"],
     ["sweep", "--d", "1", "--omega-min", "0", "--omega-max", "0.5", "--steps", "2",
      "--out", "/nonexistent-dir/x.csv"],
-    # a piece whose weights leave the double range
-    ["eval", "--d", "1000", "--omega", "0"],
+    # the band of d = 1,024, where 2^d leaves the double range, as a DOS
+    ["dos", "--d", "1024", "--omega", "0"],
     # an infinite end, and finite ends whose span overflows
     ["sweep", "--d", "3", "--omega-min", "0", "--omega-max", "inf", "--steps", "3"],
     ["sweep", "--d", "3", "--omega-min=-1.7e308", "--omega-max=1.7e308", "--steps", "3"],
@@ -233,20 +233,25 @@ def test_eval_outside_band_at_d120_exits_0(capsys):
 
 
 def test_eval_non_finite_value_exits_2(capsys):
-    code, out = run_cli(capsys, "eval", "--d", "120", "--omega", "0")
+    # no input gives a non-finite sum since the band pieces of d >= 8 are
+    # on the t0 contour; a value the evaluator cannot finish exits 2 the
+    # same way: d = 2 beside its band centre runs to the last level
+    code, out = run_cli(capsys, "eval", "--d", "2", "--omega", "1e-300")
     assert code == 2
     assert "nonconverged" in out
 
 
 def test_import_does_not_load_scipy():
     # nor the oracles and the fractions module they use, which still
-    # resolve through the package on first use
+    # resolve through the package on first use; not even after a point on
+    # the t0 contour, whose Hankel pair and J0 are the package's own
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, latgreen, latgreen.cli; "
+         "assert latgreen.green_local(20, 0.5).converged; "
          "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
          "or m in ('latgreen.oracles', 'fractions')]); "
          "from latgreen import laurent_green; "

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from latgreen import green, integrand, quadrature
+from latgreen import contour, green, integrand, quadrature
 from latgreen.errors import DomainError
 from latgreen.green import (
     VAN_HOVE_ADJACENT_TOL,
@@ -197,9 +197,9 @@ def test_sweep_empty():
 def test_sweep_is_bitwise_pointwise(d):
     # more frequencies than one block holds from level 5 on, across every
     # piece j = -1..d, with every van Hove point (the d = 1, 2 divergences
-    # among them) and its two neighbouring doubles; d = 40 and 80 form
-    # powers up to kbar^80 as plain products, and at d = 120 the in-band
-    # rows are NaN next to the finite outside-band ones
+    # among them) and its two neighbouring doubles; from d = 8 on the band
+    # rows are on the t0 contour, next to the outside-band rows of the
+    # imaginary-axis formula
     van_hove = np.arange(-d, d + 1, 2.0)
     grid = np.concatenate([np.linspace(-d - 1.0, d + 1.0, 97), van_hove,
                            np.nextafter(van_hove, math.inf), np.nextafter(van_hove, -math.inf)])
@@ -249,17 +249,24 @@ def test_sweep_divergence_follows_tail_class(d):
     (3, 0.5, 4), (1, 0.9999999984289644, 7), (40, 45.0, 4), (120, 0.0, 1),
 ])
 def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
-    # each level evaluates the frequencies that still refine in one call,
-    # on the level's cached Bessel table or views of its first k nodes,
-    # those below the rows' reach: (3, 0.5) stops at level 5 (389
-    # evaluations), so levels 0, 3, 4 and 5 make one call each
+    # each level evaluates the frequencies that still refine in one call
+    # on (0, inf), on the level's cached table or views of its first k
+    # nodes, those below the rows' reach: (3, 0.5) stops at level 5 (389
+    # evaluations), so levels 0, 3, 4 and 5 make one call each; (120, 0)
+    # is on the t0 contour, whose rays, about 1e-43, stop after the first
+    # step
     tables = []
 
     def eval_terms(d, exponents, table, weights):
         tables.append(table)
         return integrand.eval_terms(d, exponents, table, weights)
 
+    def eval_rays(d, omegas, js, table):
+        tables.append(table)
+        return contour.eval_rays(d, omegas, js, table)
+
     monkeypatch.setattr(green, "eval_terms", eval_terms)
+    monkeypatch.setattr(green, "eval_rays", eval_rays)
     green_local(d, omega)
     assert len(tables) == calls
     for table in tables:
@@ -269,6 +276,8 @@ def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
 def _is_head_of(table, level):
     # the level's cached table itself, or views of the first k entries of
     # each of its arrays
+    if isinstance(table, contour.RayTable):
+        return table is green._ray_nodes(level, green.T0)
     cached = green._bessel_nodes(level)
     if table is cached:
         return True
@@ -296,20 +305,24 @@ def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
 
 
 def test_piece_beyond_the_double_range_raises_domain_error():
-    # piece 209 is the first of d = 653 whose weights cannot be formed;
-    # the band centre of d = 653 and the outside of d = 690 can
+    # piece 209 is the first of d = 653 whose weights cannot be formed, so
+    # its imaginary-axis integrand raises where the weights live; the
+    # evaluator takes every band piece of d >= 8 on the t0 contour, which
+    # needs no such weight, and the outside of d = 690 has one term
     with pytest.raises(DomainError, match="d <= 652"):
-        green_local(653, -234.0)
-    res = green_local(653, 0.0)
-    assert not res.converged
+        integrand.term_weights(653, 209)
+    with pytest.raises(DomainError, match="d <= 652"):
+        build_integrand(653, -234.0)
+    assert green_local(653, -234.0).converged and green_local(653, 0.0).converged
     assert green_local(690, 1380.0).converged
 
 
 def test_every_dimension_returns_a_flagged_value_or_raises_domain_error():
     # at the band centre, mid-band and outside it, a call either returns a
     # result, whose value is finite or flagged, or raises DomainError,
-    # across the limit d <= 652 of the weights and the limit d <= 1,023 of
-    # 2^d; outside the band every d up to that limit converges
+    # across the limit d <= 652 of the imaginary-axis weights and the limit
+    # d <= 1,023 of 2^d; only d = 1,024 raises, and every d up to that
+    # limit converges, in the band on the t0 contour from d = 8 on
     raised = set()
     for d in (1, 7, 8, 120, 652, 653, 1000, 1023, 1024):
         for omega in (0.0, d / 2 + 0.3, d + 1.5):
@@ -321,8 +334,7 @@ def test_every_dimension_returns_a_flagged_value_or_raises_domain_error():
             assert isinstance(res, GreenResult) and (res.d, res.omega) == (d, omega)
             assert math.isfinite(abs(res.value)) or not res.converged
             assert res.converged or omega < d
-    assert raised == {(1000, 0.0), (1000, 500.3), (1023, 0.0), (1023, 511.8),
-                      (1024, 0.0), (1024, 512.3), (1024, 1025.5)}
+    assert raised == {(1024, 0.0), (1024, 512.3), (1024, 1025.5)}
 
 
 @pytest.mark.parametrize("d", [0, -3, 2.0, True])
@@ -359,18 +371,22 @@ def test_result_fields_are_python_floats():
 
 
 def test_non_finite_sum_is_flagged():
-    # the alternating terms overflow at d = 120 and their sum is NaN, which
-    # must come back flagged
-    res = green_local(120, 0.0)
-    assert not res.converged
-    if not cmath.isfinite(res.value):
-        assert res.abs_error == math.inf
+    # the imaginary-axis integrand of the d = 120 band centre, which the
+    # evaluator no longer uses there: its alternating terms overflow at the
+    # smallest nodes and their sum is NaN, which the quadrature flags
+    spec = build_integrand(120, 0.0)
+    res = quadrature.integrate_semiinfinite(lambda tau: integrand.eval_integrand(spec, tau))
+    assert not res.converged and cmath.isnan(res.value)
+    assert res.abs_error_estimate == math.inf
 
 
 def test_cancellation_floor_stops_early():
-    # the roundoff floor lies far above the tolerance in the d = 40 band
-    # interior; refining past it only spends evaluations on noise
-    res = green_local(40, -36.9)
+    # the roundoff floor of the d = 40 imaginary-axis integrand lies far
+    # above the tolerance in the band interior (the evaluator takes that
+    # point on the t0 contour); refining past it only spends evaluations
+    # on noise
+    spec = build_integrand(40, -36.9)
+    res = quadrature.integrate_semiinfinite(lambda tau: integrand.eval_integrand(spec, tau))
     assert not res.converged
     assert res.evaluations <= 1000
 
@@ -403,8 +419,8 @@ def test_large_dimension_band_centre():
 def test_in_band_large_d_against_the_gaussian_series():
     # the in-band pool points of d >= 40, where the Gaussian series is an
     # independent oracle: it agrees with each pool reference relative to
-    # |G|, and each value is within its own error estimate of it or
-    # flagged (the band pieces of d >= 8 on the imaginary-axis contour)
+    # |G|, and each value, on the t0 contour, is converged and within its
+    # own error estimate of it
     sets, refs = check.load_pool(os.path.join(ROOT, "perfbench", "pool.json"))
     points = [(d, omega) for name in ("large/centre", "large/interior", "large/edge")
               for d, omega in sets[name] if d >= 40 and abs(omega) < d]
@@ -414,5 +430,52 @@ def test_in_band_large_d_against_the_gaussian_series():
         ref = refs[check.key(d, omega)].value
         assert abs(series - ref) <= 1e-14 * abs(ref)
         r = green_local(d, omega)
-        flagged = r.van_hove_adjacent or r.divergent or not r.converged
-        assert flagged or abs(r.value - series) <= r.abs_error
+        assert r.converged and not r.divergent
+        assert abs(r.value - series) <= r.abs_error
+
+
+@pytest.mark.parametrize("d", [8, 12, 20, 40, 80, 120])
+def test_contour_value_does_not_depend_on_t0(monkeypatch, d):
+    # G may not depend on where the segment ends and the rays start: a
+    # dense in-band grid, with every van Hove frequency of the band and
+    # its neighbours 1e-9 away, at t0 = 3 and at t0 = 2.5, past the first
+    # zero of J0 (2.405) either way
+    van_hove = np.arange(-d, d, 2.0)
+    grid = np.concatenate([np.linspace(-d, d, 83)[1:-1], van_hove,
+                           van_hove[1:] - 1e-9, van_hove + 1e-9])
+    at_3 = green_sweep(d, grid)
+    monkeypatch.setattr(green, "T0", 2.5)
+    at_2_5 = green_sweep(d, grid)
+    assert {r.piece_j for r in at_3} == set(range(d))
+    for a, b in zip(at_3, at_2_5):
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
+@pytest.mark.parametrize("d, omega", [(1000, 0.0), (653, -234.0)])
+def test_wide_d_band_against_the_gaussian_series(d, omega):
+    # the band pieces of d = 653..1,023 were refused by the imaginary-axis
+    # weights; on the t0 contour they converge to within their own error
+    # estimate of the Gaussian series, which J0^d = exp(d log|J0|) from a
+    # library J0 would miss at d = 1,000 (8.5e-14 relative)
+    res = green_local(d, omega)
+    assert res.converged and 0 <= res.piece_j < d
+    assert abs(res.value - green_gaussian(d, omega)) <= res.abs_error
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_contour_agrees_with_the_imaginary_axis_below_d_8(monkeypatch, d):
+    # two independent formulas for the same band: the imaginary-axis one,
+    # which serves d <= 7, and the t0 contour, routed here from d = 4 on;
+    # on the van Hove frequencies, 1e-9 beside them and a dense grid, both
+    # converge and agree within the sum of their estimates
+    van_hove = np.arange(-d, d, 2.0)
+    grid = np.concatenate([np.linspace(-d, d, 61)[1:-1], van_hove,
+                           van_hove[1:] - 1e-9, van_hove + 1e-9])
+    axis = green_sweep(d, grid)
+    monkeypatch.setattr(green, "CONTOUR_MIN_D", 4)
+    contour = green_sweep(d, grid)
+    assert [r.value for r in contour] != [r.value for r in axis]  # another formula
+    for a, b in zip(axis, contour):
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error

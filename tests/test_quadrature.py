@@ -9,6 +9,7 @@ import pytest
 
 from latgreen.bessel import k0e
 from latgreen.errors import DomainError
+from latgreen.contour import ray_table, segment_table
 from latgreen.integrand import admit, bessel_table, term_weights, van_hove_distance
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
@@ -313,16 +314,28 @@ def _tanh_sinh_reference(f, weights, n, cfg, roundoff=2.0):
 
 
 def _run_reference(monkeypatch, fn):
-    # fn() run by the per-level loop, with the Bessel tables of sweeps on
-    # the nodes of single levels
+    # fn() run by the per-level loop, with the Bessel tables of sweeps, and
+    # the ray and segment tables of the t0 contour, on the nodes of single
+    # levels
     @functools.lru_cache(maxsize=None)
     def bessel_nodes(level):
         alpha, alphac, _ = _per_level_nodes(level)
         return bessel_table(alpha / alphac)
 
+    @functools.lru_cache(maxsize=None)
+    def ray_nodes(level, t0):
+        alpha, alphac, _ = _per_level_nodes(level)
+        return ray_table(alpha / alphac, t0)
+
+    @functools.lru_cache(maxsize=None)
+    def segment_nodes(level, t0):
+        return segment_table(t0 * _per_level_nodes(level)[0])
+
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_tanh_sinh", _tanh_sinh_reference)
         m.setattr(green, "_bessel_nodes", bessel_nodes)
+        m.setattr(green, "_ray_nodes", ray_nodes)
+        m.setattr(green, "_segment_nodes", segment_nodes)
         return fn()
 
 
@@ -340,18 +353,11 @@ def test_first_step_is_bitwise_the_per_level_loop_for_sweeps(monkeypatch, d):
                            (van_hove[:, None] + offsets).ravel()])
     got = green_sweep(d, grid)
     ref = _run_reference(monkeypatch, lambda: green_sweep(d, grid))
-    # at d = 120 the band's terms overflow at the smallest nodes, and every
-    # in-band value is NaN and flagged; the first step evaluates 49 nodes,
-    # where the per-level loop stops after the 13 of level 0
-    nan = [i for i, r in enumerate(got) if cmath.isnan(r.value)]
-    assert bool(nan) == (d == 120)
-    for i in nan:
-        assert not got[i].converged and got[i].evaluations == 49
-        ref[i] = dataclasses.replace(ref[i], evaluations=49)
+    # no value is NaN, the band of d >= 8 on the t0 contour included
+    assert not any(cmath.isnan(r.value) for r in got)
     assert [repr(r) for r in got] == [repr(r) for r in ref]
-    # the d <= 2 divergences, and from d = 8 on the in-band failures of
-    # the imaginary-axis contour, all flagged
-    assert any(not r.converged for r in got) == (d <= 2 or d > 7)
+    # the d <= 2 divergences are flagged, and every other value converges
+    assert any(not r.converged for r in got) == (d <= 2)
 
 
 @pytest.mark.parametrize("f, a, b, cfg", [

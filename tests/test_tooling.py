@@ -133,8 +133,8 @@ def test_dump_records_compare_reports_by_d(tmp_path, capsys):
 
 def test_pool_values_are_right_or_flagged():
     # every reference of the pool, judged by the benchmark's own verdict:
-    # a failing value must carry a flag, and the failures are the known
-    # in-band ones of d >= 8 (ROADMAP item 1)
+    # a failing value must carry a flag, and none fails, the in-band ones
+    # of d >= 8 on the t0 contour included
     _, refs = check.load_pool(os.path.join(ROOT, "perfbench", "pool.json"))
     omegas = defaultdict(list)
     for k in refs:
@@ -151,8 +151,8 @@ def test_pool_values_are_right_or_flagged():
                 silent_wrong += not flags
     assert len(refs) == 1428
     assert silent_wrong == 0
-    assert len(refs) - sum(failed.values()) == 1273
-    assert set(failed) == {8, 12, 20, 40, 80, 120}
+    assert len(refs) - sum(failed.values()) == 1428
+    assert not failed
 
 
 def test_time_points_runs_one_tree():

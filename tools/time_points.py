@@ -10,10 +10,12 @@ the caches, then times each point's ``green_local`` call over 5 passes and
 keeps its best time; across rounds each point keeps its best again.  Then
 it runs one more pass under cProfile, which counts the function calls per
 point, and calls each point once more with ``green.eval_terms`` wrapped,
-which counts the nodes (rows x nodes) handed to it: counts that do not
-depend on the machine or its load.  The evaluations per point count every
-node of each level the point ran; the nodes per point count those it
-formed terms on, so their gap is what the cut at the reach skipped.
+and on the t0 contour ``green.eval_rays`` and ``green.eval_segment``
+(where a tree has them), which counts the nodes (rows x nodes) handed to
+them: counts that do not depend on the machine or its load.  The
+evaluations per point count every node of each level the point ran; the
+nodes per point count those it formed terms on, so their gap is what the
+cut at the reach skipped.
 
 The report gives, per workload and per (set, d): the number of points,
 the p50, p90 and mean of the points' best times, the function calls, the
@@ -74,12 +76,19 @@ def worker(limit: int | None) -> dict:
             green_local(d, w)
             best[i] = min(best[i], clock() - t0)
     calls, evals, nodes = [], [], []
-    eval_terms, formed = green.eval_terms, []
+    formed = []
 
-    def counted(d, exponents, table, weights):
-        formed.append(len(weights) * table.tau.size)
-        return eval_terms(d, exponents, table, weights)
+    def counted(fn, nodes_of):
+        def wrapper(d, rows, *args):
+            formed.append(len(rows) * nodes_of(*args))
+            return fn(d, rows, *args)
+        return wrapper
 
+    # each evaluator's rows, and the size of its node table
+    sizes = {"eval_terms": lambda table, weights: table.tau.size,
+             "eval_rays": lambda js, table: table.iz.size,
+             "eval_segment": lambda table: table.t.size}
+    plain = {name: getattr(green, name) for name in sizes if hasattr(green, name)}
     for _, _, d, w in points:
         prof = cProfile.Profile()
         prof.enable()
@@ -90,11 +99,13 @@ def worker(limit: int | None) -> dict:
         evals.append(res.evaluations)
         # outside the profile, so the wrapper adds no calls to its count
         formed.clear()
-        green.eval_terms = counted
+        for name, fn in plain.items():
+            setattr(green, name, counted(fn, sizes[name]))
         try:
             green_local(d, w)
         finally:
-            green.eval_terms = eval_terms
+            for name, fn in plain.items():
+                setattr(green, name, fn)
         nodes.append(sum(formed))
     return {"best": best, "calls": calls, "evals": evals, "nodes": nodes}
 
