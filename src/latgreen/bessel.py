@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +154,7 @@ _I0E_CHEB = (
 )
 
 
-@dataclass(frozen=True)
-class BesselPair:
+class BesselPair(NamedTuple):
     """Scaled pair kbar = e^{+tau}(2/pi)K0(tau), ibar = e^{-tau} 2 I0(tau)
     at an array of nodes tau."""
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
-import json
 import math
 import sys
 
@@ -24,7 +24,7 @@ from .errors import check_integer, check_real
 from .green import GreenResult, dos, dos_from_result, green_local, green_sweep
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 
 def _fmt(x: float) -> str:
@@ -82,6 +82,8 @@ def _emit(records: list[dict], fmt: str, out_path: str | None = None) -> None:
     """Write records as CSV, whose header is the keys of the first record,
     or as JSON, to ``out_path`` or stdout."""
     if fmt == "json":
+        import json  # loaded on first use, not with the CLI
+
         # JSON has no inf or nan: such a float becomes the string CSV prints
         records = [{key: _fmt(val) if isinstance(val, float) and not math.isfinite(val) else val
                     for key, val in rec.items()} for rec in records]
@@ -146,7 +148,17 @@ def cmd_moments(args) -> int:
         }
         for k, m in enumerate(table.moments)
     ]
-    _emit(records, args.format)
+    # the exact integers are written in full, past Python's limit on the
+    # digits of an int written as a string (none before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(records, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(old)
     return 0
 
 
@@ -291,5 +303,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The ``latgreen`` command: ``main`` on the process's arguments, then
+    exit with its code.  The objects alive at the exit are frozen out of
+    the collector first, so that interpreter shutdown does not walk every
+    one of them (numpy's included) in its final cyclic passes.  Unlike
+    ``os._exit``, ``sys.exit`` still flushes the streams and runs atexit
+    handlers.  ``main`` itself leaves the collector alone, since tests and
+    benchmark workers call it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ def ray_log_weights(d: int) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class RayTable:
+class RayTable(NamedTuple):
     """The scaled Hankel pair h1e, h2e on the ray z = t0 + i tau, and
     i z = i t0 - tau, at an array of nodes tau."""
 
@@ -84,8 +83,7 @@ class RayTable:
     iz: np.ndarray
 
 
-@dataclass(frozen=True)
-class SegmentTable:
+class SegmentTable(NamedTuple):
     """J0(t) - 1 by its series, at an array of nodes t."""
 
     t: np.ndarray

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ T0 = 3.0
 _EXP_ZERO = 746.0
 
 
-@dataclass(frozen=True)
-class GreenResult:
+class GreenResult(NamedTuple):
     omega: float
     d: int
     value: complex
@@ -106,7 +105,7 @@ def _divergent_value(d: int, omega: float) -> complex:
 
 def _read_only(table):
     # every caller shares a cached table's arrays
-    for arr in vars(table).values():
+    for arr in table:
         arr.flags.writeable = False
     return table
 

@@ -97,8 +97,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,11 +127,12 @@ __all__ = [
 _QTAU_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     """The integrand of one (d, omega): the piece j, and the weight
     (``term_weights``) and net exponent (``term_exponents``) of every slot,
-    both read-only arrays."""
+    both read-only arrays.  No caller compares or hashes specs: with its
+    arrays, ``==`` between two specs raises unless they share them, and a
+    spec has no hash."""
 
     d: int
     omega: float
@@ -151,8 +152,7 @@ class TailKind(Enum):
     DIVERGENT = "divergent"
 
 
-@dataclass(frozen=True)
-class TailClass:
+class TailClass(NamedTuple):
     kind: TailKind
     # decay rate for EXPONENTIAL, tail power (-d/2) for POWER_LAW
     parameter: float = 0.0

@@ -27,8 +27,8 @@ an infinity, a bool or a string rather than return a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def _check_outside_band(d: int, omega: float) -> float:
     return omega
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Exact even moments m_{2k} = W_d(2k)/4^k of the density of states,
     where W_d(2k) counts closed 2k-step walks on the d-dimensional lattice."""
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,17 +82,28 @@ _MAX_LEVELS = 16
 _BLOCK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-13
-    abs_tol: float = 1e-15
-    max_levels: int = 12
+class _ConfigFields(NamedTuple):
+    rel_tol: float
+    abs_tol: float
+    max_levels: int
 
-    def __post_init__(self):
+
+class QuadratureConfig(_ConfigFields):
+    """The level loop's tolerances and level budget, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, rel_tol: float = 1e-13, abs_tol: float = 1e-15, max_levels: int = 12):
         # a non-finite tolerance would accept any error, True is no tolerance
-        check_real("rel_tol", self.rel_tol, 0.0, strict=True)
-        check_real("abs_tol", self.abs_tol, 0.0, strict=True)
-        check_integer("max_levels", self.max_levels, _FIRST_LEVELS, _MAX_LEVELS)
+        check_real("rel_tol", rel_tol, 0.0, strict=True)
+        check_real("abs_tol", abs_tol, 0.0, strict=True)
+        check_integer("max_levels", max_levels, _FIRST_LEVELS, _MAX_LEVELS)
+        return super().__new__(cls, rel_tol, abs_tol, max_levels)
+
+    @classmethod
+    def _make(cls, iterable) -> "QuadratureConfig":
+        # through __new__, so that _replace checks its fields too
+        return cls(*iterable)
 
     @classmethod
     def fast(cls) -> "QuadratureConfig":
@@ -103,8 +114,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()  # of every call made without one
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     abs_error_estimate: float
     evaluations: int

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -144,6 +146,29 @@ def test_moments_beyond_the_double_range(capsys, fmt):
     assert abs(Fraction(dec) - exact) <= exact * Fraction(5, 10**17)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on the digits of an int string")
+def test_moments_past_the_int_string_limit(capsys):
+    # at d = 10^20 the numerators of --kmax 200 pass Python's 4,300-digit
+    # limit on writing an int; the command lifts it while it writes them,
+    # and puts the caller's limit back
+    from latgreen.oracles import moments
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli(capsys, "moments", "--d", str(10**20), "--kmax", "200")
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)  # to read the rows back
+        rows = list(csv.DictReader(io.StringIO(out)))
+        exact = [(int(r["numerator"]), int(r["denominator"])) for r in rows]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0
+    assert max(len(r["numerator"]) for r in rows) > 4300
+    assert exact == [(m.numerator, m.denominator) for m in moments(10**20, 200).moments]
+
+
 def test_malformed_flags_exit_one(capsys):
     assert main(["eval", "--d", "3"]) == 1          # missing --omega
     capsys.readouterr()
@@ -178,7 +203,6 @@ def test_malformed_flags_exit_one(capsys):
 ])
 def test_bad_input_exits_one_without_traceback(argv):
     import subprocess
-    import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "latgreen.cli", *argv],
@@ -211,17 +235,46 @@ def test_selftest_quick_passes(capsys):
 
 
 def test_console_script_entry_point():
+    # the installed command and ``python -m latgreen.cli`` both run entry()
     import subprocess
-    import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "latgreen.cli", "eval", "--d", "1",
-         "--omega", "0", "--format", "json"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    rec = json.loads(proc.stdout)[0]
-    assert rec["im"] == pytest.approx(-1.0, abs=1e-13)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert 'latgreen = "latgreen.cli:entry"' in (root / "pyproject.toml").read_text()
+    argv = ["eval", "--d", "1", "--omega", "0", "--format", "json"]
+    for cmd in (["-m", "latgreen.cli"],
+                ["-c", "import sys; from latgreen.cli import entry; "
+                       "sys.argv[0] = 'latgreen'; entry()"]):
+        proc = subprocess.run([sys.executable, *cmd, *argv],
+                              capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)[0]
+        assert rec["im"] == pytest.approx(-1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--d", "3", "--omega", "0.5"], 0),
+    (["eval", "--d", "0", "--omega", "0.5"], 1),
+    (["eval", "--d", "2", "--omega", "1e-300"], 2),
+])
+def test_process_exits_as_main_returns(capsys, argv, code):
+    # entry() passes main's code and output through the process exit
+    import subprocess
+
+    proc = subprocess.run([sys.executable, "-m", "latgreen.cli", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert run_cli(capsys, *argv) == (code, proc.stdout)
+    assert proc.returncode == code
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only entry() freezes the objects alive at the exit; main() is called
+    # in-process by tests and benchmark workers, whose objects must stay
+    # collectable
+    import gc
+
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "eval", "--d", "3", "--omega", "0.5")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_eval_outside_band_at_d120_exits_0(capsys):
@@ -246,7 +299,6 @@ def test_import_does_not_load_scipy():
     # resolve through the package on first use; not even after a point on
     # the t0 contour, whose Hankel pair and J0 are the package's own
     import subprocess
-    import sys
 
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -263,6 +315,25 @@ def test_import_does_not_load_scipy():
     loaded, used = proc.stdout.splitlines()
     assert loaded == "[]"
     assert used == f"3/2 {round(1 / math.sqrt(3.0), 12)!r} True"
+
+
+def test_eval_process_imports_only_what_it_uses():
+    # a point evaluation loads none of the modules the CLI takes on first
+    # use (json, the oracles and their fractions), no dataclasses and no
+    # scipy; modules are counted from after numpy's import, so numpy's own
+    # imports do not matter
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; before = set(sys.modules); import latgreen.cli; "
+         "code = latgreen.cli.main(['eval', '--d', '3', '--omega', '0.5']); "
+         "print(code, sorted(m for m in set(sys.modules) - before if m.split('.')[0] "
+         "in ('dataclasses', 'json', 'fractions', 'scipy') or m == 'latgreen.oracles'))"],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_public_names_resolve():

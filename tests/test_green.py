@@ -284,7 +284,7 @@ def _is_head_of(table, level):
     return all(
         part.base is whole and part.ctypes.data == whole.ctypes.data
         and part.size < whole.size
-        for part, whole in zip(vars(table).values(), vars(cached).values()))
+        for part, whole in zip(table, cached))
 
 
 def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
@@ -292,7 +292,7 @@ def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
     # level's nodes, read-only since every caller shares it
     for level in (0, 4):
         table, ref = green._bessel_nodes(level), bessel_table(half_line_nodes(level))
-        for name, arr in vars(table).items():
+        for name, arr in table._asdict().items():
             assert not arr.flags.writeable
             assert arr.tobytes() == getattr(ref, name).tobytes()
     # every evaluating level's table ascends strictly in tau, the first

@@ -11,6 +11,7 @@ import sys
 from collections import Counter, defaultdict
 
 import numpy as np
+import pytest
 
 from latgreen import green, green_local, green_sweep
 from latgreen.integrand import build_integrand, term_weights
@@ -53,6 +54,15 @@ def test_only_errors_states_the_input_rule():
     mentions = sorted(path.name for path in pathlib.Path(ROOT, "src", "latgreen").glob("*.py")
                       if rule.search(path.read_text(encoding="utf-8")))
     assert mentions == ["errors.py"]
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: a frozen dataclass execs generated code for
+    # each class at import, which every latgreen process would pay
+    rule = re.compile(r"\bdataclass(es)?\b")
+    mentions = sorted(path.name for path in pathlib.Path(ROOT, "src", "latgreen").glob("*.py")
+                      if rule.search(path.read_text(encoding="utf-8")))
+    assert mentions == []
 
 
 def test_eval_span_sizes_an_integrand():
@@ -172,3 +182,22 @@ def test_time_points_runs_one_tree():
     counts = {tuple(row[:2]): tuple(map(float, row[-2:])) for row in rows[2:]}
     assert all(0.0 <= nodes <= evals for evals, nodes in counts.values())
     assert counts["points", "all"][1] > 0 and counts["large-d", "all"][1] > 0
+
+
+def test_time_cli_runs_one_tree():
+    # one round of the cli workload's seven calls, each in a fresh
+    # process on this package's own sources
+    src = os.path.dirname(os.path.dirname(green.__file__))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "time_cli.py"), src,
+                          "--rounds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [[cell.strip() for cell in line.split("|")] for line in out.stdout.splitlines()[2:]]
+    calls, stats = rows[:-3], rows[-3:]
+    assert sorted(row[0] for row in calls) == ["eval"] * 4 + ["selftest"] + ["sweep"] * 2
+    # every call ran, and none failed on its input (exit code 1)
+    times = [float(row[1].split()[0]) for row in calls]
+    assert all(row[1].split()[1] in ("0", "2") for row in calls)
+    assert [row[0] for row in stats] == ["p50", "p90", "sum"]
+    p50, p90, total = (float(row[1]) for row in stats)
+    assert min(times) <= p50 <= p90 and total == pytest.approx(sum(times), abs=0.5)
