@@ -23,14 +23,8 @@ segment) is evaluated once per level and cached, read-only.  Each level
 evaluates the frequencies still refining in one call per loop.  Each
 result is the same, bit for bit, whatever it is batched with.
 
-On the imaginary axis no term is formed where it is exactly 0.  A
-frequency's reach is 746/delta, with delta its distance to the nearest van
-Hove frequency (``integrand.van_hove_distance``): past it every term is
-exactly +-0, and a sum that starts at +0 stays +0 (see integrand.py).
-Since every level's nodes ascend in tau, each call gets only the nodes
-below its frequencies' largest reach, and the rest of each row is +0, bit
-for bit what the full table gives.  An exact van Hove input (delta = 0)
-reaches every node.  delta also gives the van Hove flag and, at d <= 2,
+A frequency's distance delta to the nearest van Hove frequency
+(``integrand.van_hove_distance``) gives the van Hove flag and, at d <= 2,
 the divergence.
 
 The error estimate covers the integrand's own rounding, d-fold products of
@@ -75,10 +69,6 @@ VAN_HOVE_ADJACENT_TOL = 1e-6
 # The contour's segment is [0, T0], and its rays start at T0 (see
 # contour.py); read at each call, so the value may be changed.
 T0 = 3.0
-
-# exp(x) rounds to exactly 0 for x below about -745.13, where it falls
-# under half the smallest subnormal; -746 clears that by a factor of 2.4.
-_EXP_ZERO = 746.0
 
 
 class GreenResult(NamedTuple):
@@ -125,24 +115,6 @@ def _segment_nodes(level: int, t0: float) -> SegmentTable:
     return _read_only(segment_table(segment_nodes(level, t0)))
 
 
-def _eval_level(d: int, level: int, exponents: np.ndarray, weights: np.ndarray,
-                reach: np.ndarray) -> np.ndarray:
-    """``eval_terms`` of a block of rows on the nodes of ``level``: only on
-    the first k nodes, those below the block's largest reach 746/delta, as
-    views of the level's table, and +0 past them (see the module docstring
-    for why that moves no bit)."""
-    table = _bessel_nodes(level)
-    n = table.tau.size
-    k = int(table.tau.searchsorted(max(reach.tolist())))
-    if k == n:
-        return eval_terms(d, exponents, table, weights)
-    out = np.zeros((len(weights), n), dtype=complex)
-    if k:
-        live = BesselPair(table.kbar[:k], table.ibar[:k], table.tau[:k])
-        out[:, :k] = eval_terms(d, exponents, live, weights)
-    return out
-
-
 def _result(d: int, omega: float, j: int, adjacent: bool, res: QuadratureResult) -> GreenResult:
     return GreenResult(
         omega=omega, d=d, value=res.value, abs_error=res.abs_error_estimate,
@@ -182,8 +154,8 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     """G_d at every frequency of a grid, in input order.
 
     The frequencies run through the level loops of their contour (see the
-    module docstring), ordered by piece, each with its own stop rule.  d and every frequency are validated before any
-    is integrated.
+    module docstring), ordered by piece, each with its own stop rule.  d
+    and every frequency are validated before any is integrated.
     """
     d, omegas, js, exponents = admit(d, omegas)
     delta = van_hove_distance(exponents)
@@ -205,11 +177,9 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
     if order.size:
         rows_q = exponents[order]
         weights = np.array([term_weights(d, j) for j in js[order].tolist()])
-        with np.errstate(divide="ignore", over="ignore"):
-            reach = _EXP_ZERO / delta[order]
 
         def f(level, cols):
-            return _eval_level(d, level, rows_q[cols], weights[cols], reach[cols])
+            return eval_terms(d, rows_q[cols], _bessel_nodes(level), weights[cols])
 
         roundoff = max(2.0, d / 4)
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg, roundoff)):

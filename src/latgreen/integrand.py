@@ -32,22 +32,16 @@ Hove frequencies, each q is one rounded difference of such a frequency and
 omega, and since rounding is monotone and x - y is 0 only when x == y, the
 rounded q keeps its sign, and is exactly 0 only at an exact van Hove input.
 
-That product has a limit at large d, and inside the band a worse one.
-The band terms alternate, and near tau = 0 they behave like |ln tau|^d,
-a cancellation that doubles cannot resolve from d of about 8 on.  As
-tau -> 0, ibar -> 2 while kbar grows like (2/pi)|ln tau|, to about 437
-at the smallest node (tau ~ 1e-298), so kbar^d alone exceeds the double
-range there from d ~ 117 on, and the weighted terms of the band centre
-already from d ~ 106.  No other form of the term can help: since q <= 0,
-e^{q tau} <= 1 cannot bring an overflowed power back into range, and
-where the power overflows |q tau| is below one ulp of 1, so
-exp(log power + q tau) overflows at exactly the same nodes.  Such a term
-shows as a non-finite value, which the quadrature flags.  So the
-evaluator takes the band pieces of d >= 8 on the t0 contour (contour.py),
-and this formula serves every piece of d <= 7 and the outside of the band
-at any d.  There the one term left, ibar^d e^{q tau}, stays finite up to
-d = 1,023: ibar^d tends to 2^d as tau -> 0, which leaves the double range
-from d = 1,024 on, before the 1/2^d scale, so ``admit`` refuses d > 1,023.
+Inside the band that product has a limit at large d.  The band terms
+alternate, and near tau = 0 they behave like |ln tau|^d, a cancellation
+that doubles cannot resolve from d of about 8 on; at large d the powers
+leave the double range at the smallest nodes, a non-finite value that the
+quadrature flags.  So the evaluator takes the band pieces of d >= 8 on the
+t0 contour (contour.py), and this formula serves every piece of d <= 7 and
+the outside of the band at any d.  There the one term left,
+ibar^d e^{q tau}, stays finite up to d = 1,023: ibar^d tends to 2^d as
+tau -> 0, which leaves the double range from d = 1,024 on, before the 1/2^d
+scale, so ``admit`` refuses d > 1,023.
 
 Only q depends on omega.  The weights are ``coefficient_table``'s as
 floats (``term_weights``); every piece of d <= 652 can be formed, and from
@@ -78,20 +72,9 @@ v_j - omega and omega - v_{j+1}, and outside it the one term's is
 -(|omega| - d).  delta is 0 exactly at a van Hove input, where the
 tau^{-d/2} tail diverges for d <= 2.
 
-A frequency's terms also end: exp(x) rounds to exactly 0 below about
--745.13, so past its reach tau* = 746/delta every term is w * (f * 0).  f
-is finite there: inside the band delta <= 1 and tau* >= 746, where kbar
-and ibar are below 1, and outside it the one term is ibar^d <= 2^d, finite
-for d <= 1,023.  Since +0 plus +-0 is +0, each such node of a row's sum
-stays +0, so ``green_sweep`` hands ``eval_terms`` only the nodes below a
-block's largest reach, a head of each level's nodes since they ascend in
-tau, and leaves the rest +0, which moves no bit.  At an exact van Hove
-input delta = 0 and nothing is cut.
-
 The factor 1/2^d scales the sum, not the weights, on purpose: folded into
-the weights it would move the first non-finite band value from d ~ 106 to
-d ~ 118 (flagged either way), but flip signed zeros and subnormal bits
-that the per-piece bitwise reference sees.
+the weights it would flip signed zeros and subnormal bits that the
+per-piece bitwise reference sees.
 """
 from __future__ import annotations
 
@@ -119,13 +102,6 @@ __all__ = [
     "eval_terms",
     "tail_class",
 ]
-
-# Most exponent*tau products (terms x rows x nodes) formed at once by
-# eval_terms on a block of one piece: the d = 120 terms of one frequency on
-# a level-8 node set (1,556 nodes) fit, and the terms of a larger block run
-# in groups.
-_QTAU_ELEMENTS = 1 << 18
-
 
 class IntegrandSpec(NamedTuple):
     """The integrand of one (d, omega): the piece j, and the weight
@@ -284,17 +260,14 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
     a single frequency: it does not depend on the rows it is batched with,
     and a term no row has is never formed.  A block whose first and last
     rows have the same terms is of one piece; it reads its slot list from a
-    cache keyed by its weight row, forms the exponent*tau products of at
-    most ``_QTAU_ELEMENTS`` elements (or of one term) at once and scales
-    them by scalar weights.  A mixed block forms them one term at a time,
-    on the rows that use it only.  Either forms only the parities and the
-    powers its terms have: a part no term reaches stays 0.0, and the m = d
-    and m = 0 factors are ibar^d and kbar^d, which moves no bit (see the
-    module docstring).  An underflowed term adds exactly +-0, and past a
-    row's reach 746/delta every term does, so that row stays +0 there;
-    ``green_sweep`` therefore passes only the nodes below a block's largest
-    reach without moving a bit (see the module docstring).  An overflow
-    shows as a non-finite value, which the quadrature flags.
+    cache keyed by its weight row and scales each term by a scalar weight.
+    A mixed block forms each term on the rows that use it only.  Either
+    forms a term's exponent*tau products as it forms the term, so it holds
+    one term's (rows x nodes) block at a time, and forms only the parities
+    and the powers its terms have: a part no term reaches stays 0.0, and the
+    m = d and m = 0 factors are ibar^d and kbar^d, which moves no bit (see
+    the module docstring).  An underflowed term adds exactly +-0, and an
+    overflow shows as a non-finite value, which the quadrature flags.
     """
     tau, n = table.tau, len(weights)
     # a piece is identified by its terms, and the rows are ordered by piece
@@ -310,31 +283,25 @@ def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
         ks = _slots(weights[0].tobytes())
     # the real and imaginary sums; one that no term reaches stays 0.0
     acc = [0.0, 0.0]
-    # terms per group; a mixed block forms each term's products on its rows
-    g = len(ks) if mixed else max(1, min(_QTAU_ELEMENTS // (n * tau.size), d + 1))
     # kbar^{d-m} ibar^m is shared by the two terms of each m
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for a in range(0, len(ks), g):
-            group = ks[a:a + g]
-            qtau = None if mixed else exponents.take(group, axis=1).T[:, :, None] * tau
-            for i, k in enumerate(group):
-                m = k if k <= d else k - d - 1
-                f = factors.get(m)
-                if f is None:
-                    # no power of 0: x**0 is exactly 1 and 1*x is x
-                    f = factors[m] = (table.ibar**d if m == d else table.kbar**d if m == 0
-                                      else table.kbar**(d - m) * table.ibar**m)
-                p = (d + m) & 1
-                if mixed:
-                    if not isinstance(acc[p], np.ndarray):
-                        acc[p] = np.zeros((n, tau.size))
-                    rows = slice(lo[k], hi[k])
-                    q = exponents[rows, k, None] * tau
-                    acc[p][rows] += weights[rows, k, None] * (f * np.exp(q))
-                else:
-                    acc[p] += weights.item(0, k) * (f * np.exp(qtau[i]))
-            qtau = q = None  # free the products before the next group's
+        for k in ks:
+            m = k if k <= d else k - d - 1
+            f = factors.get(m)
+            if f is None:
+                # no power of 0: x**0 is exactly 1 and 1*x is x
+                f = factors[m] = (table.ibar**d if m == d else table.kbar**d if m == 0
+                                  else table.kbar**(d - m) * table.ibar**m)
+            p = (d + m) & 1
+            if mixed:
+                if not isinstance(acc[p], np.ndarray):
+                    acc[p] = np.zeros((n, tau.size))
+                rows = slice(lo[k], hi[k])
+                q = exponents[rows, k, None] * tau
+                acc[p][rows] += weights[rows, k, None] * (f * np.exp(q))
+            else:
+                acc[p] += weights.item(0, k) * (f * np.exp(exponents[:, k, None] * tau))
         re, im = acc
         return (re + 1j * im) * 0.5**d
 

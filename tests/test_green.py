@@ -250,11 +250,10 @@ def test_sweep_divergence_follows_tail_class(d):
 ])
 def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
     # each level evaluates the frequencies that still refine in one call
-    # on (0, inf), on the level's cached table or views of its first k
-    # nodes, those below the rows' reach: (3, 0.5) stops at level 5 (389
-    # evaluations), so levels 0, 3, 4 and 5 make one call each; (120, 0)
-    # is on the t0 contour, whose rays, about 1e-43, stop after the first
-    # step
+    # on (0, inf), on the level's cached table itself: (3, 0.5) stops at
+    # level 5 (389 evaluations), so levels 0, 3, 4 and 5 make one call
+    # each; (120, 0) is on the t0 contour, whose rays, about 1e-43, stop
+    # after the first step
     tables = []
 
     def eval_terms(d, exponents, table, weights):
@@ -270,21 +269,50 @@ def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
     green_local(d, omega)
     assert len(tables) == calls
     for table in tables:
-        assert any(_is_head_of(table, level) for level in (0, *range(3, 13)))
+        assert any(_is_table_of(table, level) for level in (0, *range(3, 13)))
 
 
-def _is_head_of(table, level):
-    # the level's cached table itself, or views of the first k entries of
-    # each of its arrays
+def _is_table_of(table, level):
+    # the level's cached table itself; a view of it does not count
     if isinstance(table, contour.RayTable):
         return table is green._ray_nodes(level, green.T0)
-    cached = green._bessel_nodes(level)
-    if table is cached:
-        return True
-    return all(
-        part.base is whole and part.ctypes.data == whole.ctypes.data
-        and part.size < whole.size
-        for part, whole in zip(table, cached))
+    return table is green._bessel_nodes(level)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.3, 0.77, 1.5])
+def test_node_term_products_grow_at_most_linearly_in_d(monkeypatch, f):
+    # the paper's claim of a cost linear in d, without a clock: the
+    # (node x term) products one green_local call forms, at omega = f d + 0.1
+    # (in the band for f < 1, outside it at f = 1.5), are at most twice
+    # d/10 times those of d = 10.  An imaginary-axis row forms its terms of
+    # nonzero weight, a ray row its d + 1 terms, and a segment row one
+    products = [0]
+
+    def eval_terms(d, exponents, table, weights):
+        products[0] += int(np.count_nonzero(weights)) * table.tau.size
+        return integrand.eval_terms(d, exponents, table, weights)
+
+    def eval_rays(d, omegas, js, table):
+        products[0] += (d + 1) * len(omegas) * table.iz.size
+        return contour.eval_rays(d, omegas, js, table)
+
+    def eval_segment(d, omegas, table):
+        products[0] += len(omegas) * table.t.size
+        return contour.eval_segment(d, omegas, table)
+
+    monkeypatch.setattr(green, "eval_terms", eval_terms)
+    monkeypatch.setattr(green, "eval_rays", eval_rays)
+    monkeypatch.setattr(green, "eval_segment", eval_segment)
+
+    def count(d):
+        products[0] = 0
+        green_local(d, f * d + 0.1)
+        return products[0]
+
+    at_10 = count(10)
+    assert at_10 > 0
+    for d in (20, 40, 80, 120, 300, 1000):
+        assert count(d) <= 2 * (d / 10) * at_10, d
 
 
 def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
@@ -296,7 +324,7 @@ def test_a_levels_bessel_table_is_the_pair_on_its_nodes():
             assert not arr.flags.writeable
             assert arr.tobytes() == getattr(ref, name).tobytes()
     # every evaluating level's table ascends strictly in tau, the first
-    # step's 49 nodes included, so the nodes below a reach are its first k
+    # step's 49 nodes included
     for level in (0, *range(3, QuadratureConfig().max_levels + 1)):
         assert (np.diff(green._bessel_nodes(level).tau) > 0).all()
     for level in range(QuadratureConfig().max_levels + 1, quadrature._MAX_LEVELS + 1):

@@ -239,34 +239,6 @@ def _per_piece_reference(specs, table):
         return (re + 1j * im) * 0.5**d
 
 
-@pytest.mark.parametrize("d, omega", [
-    (3, 0.5), (8, -18.894192443720335), (40, 10.3), (80, 72.6), (110, 0.3),
-    (7, 1e300), (1023, 2046.0), (1023, -2046.0), (4, 2.0),
-])
-def test_a_level_cut_at_the_reach_is_bitwise_the_full_level(d, omega):
-    # at every evaluating level, the first step's included, a row is
-    # formed only on the nodes below its reach 746/delta and left +0 past
-    # it; that is the reference on the level's full table bit for bit,
-    # which is itself +0 at every node past the cut.  At (110, 0.3) the
-    # powers overflow at the smallest nodes, and the NaN stays; at the van
-    # Hove input (4, 2.0) delta = 0 and nothing is cut
-    spec = build_integrand(d, omega)
-    exponents, weights = spec.exponents[None], spec.weights[None]
-    with np.errstate(divide="ignore"):
-        reach = green._EXP_ZERO / van_hove_distance(exponents)
-    cut = 0
-    for level in (0, *range(3, 9)):
-        table = green._bessel_nodes(level)
-        got = green._eval_level(d, level, exponents, weights, reach)
-        ref = _per_piece_reference([spec], table)
-        assert got.tobytes() == ref.tobytes()
-        k = int(np.searchsorted(table.tau, reach[0]))
-        assert ref[:, k:].tobytes() == np.zeros((1, table.tau.size - k), dtype=complex).tobytes()
-        assert np.isnan(ref).any() == (d == 110)
-        cut += table.tau.size - k
-    assert (cut == 0) == (omega == 2.0)
-
-
 @pytest.mark.parametrize("d", [4, 40, 120])
 def test_mixed_block_is_bitwise_per_piece(d):
     # one block of rows from five pieces (outside the band on both sides

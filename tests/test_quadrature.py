@@ -9,7 +9,7 @@ import pytest
 from latgreen.bessel import k0e
 from latgreen.errors import DomainError
 from latgreen.contour import ray_table, segment_table
-from latgreen.integrand import admit, bessel_table, term_weights, van_hove_distance
+from latgreen.integrand import admit, bessel_table, eval_terms, term_weights, van_hove_distance
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
 from latgreen.oracles import dos_normalization
@@ -230,17 +230,22 @@ def test_first_step_is_the_per_level_nodes_in_ascending_order():
             assert got[part].tobytes() == ref.tobytes()
 
 
-def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero(monkeypatch):
+def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero():
     # each evaluating level's cached row carries the Jacobian, bitwise the
     # division the integrand once made; _TS_UMAX keeps it finite, so an
     # integrand row that is +0 past its reach stays +0 (finite * 0, never
-    # inf * 0 = NaN).  Outside the band at d = 3, omega = 10, the reach is
-    # 746/7 and cuts every level; the Bessel tables are built uncached.
-    monkeypatch.setattr(green, "_bessel_nodes",
-                        lambda level: bessel_table(quadrature.half_line_nodes(level)))
-    d, _, js, exponents = admit(3, [10.0, -10.0])
-    reach = green._EXP_ZERO / van_hove_distance(exponents)
-    terms = np.array([term_weights(d, j) for j in js.tolist()])
+    # inf * 0 = NaN).  exp(x) rounds to exactly 0 below about -745.13, so
+    # past tau = 746/delta every term of a row is w * (f * 0) with f finite,
+    # and the row is +0 there on the level's full table.  Outside the band
+    # that reach cuts every level: 746/7 at d = 3, omega = +-10, 746/1,023 at
+    # d = 1,023, omega = +-2,046, where ibar^d is near 2^1,023, and 7.46e-298
+    # at d = 7, omega = 1e300, so that row is +0 on all or nearly all of
+    # each level.  The Bessel tables are built uncached.
+    blocks = []
+    for d, omegas in ((3, [10.0, -10.0]), (7, [1e300]), (1023, [2046.0, -2046.0])):
+        d, _, js, exponents = admit(d, omegas)
+        terms = np.array([term_weights(d, j) for j in js.tolist()])
+        blocks.append((d, exponents, terms, 746.0 / van_hove_distance(exponents).min()))
     largest = 0.0
     for level in (0, *range(quadrature._FIRST_LEVELS, quadrature._MAX_LEVELS + 1)):
         _, alphac, w, row, _ = quadrature._ts_nodes(level)
@@ -248,13 +253,16 @@ def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero(monkeypatch):
         assert row.tobytes() == ((w / alphac) / alphac).tobytes()
         assert np.isfinite(row).all() and (row > 0).all()
         largest = max(largest, row.max())
-        vals = green._eval_level(d, level, exponents, terms, reach)
-        cut = quadrature.half_line_nodes(level) > reach.max()
-        assert cut.any() and not vals[:, cut].any()
-        weighted = row * vals
-        assert np.isfinite(weighted).all() and not weighted[:, cut].any()
-        assert not np.signbit(weighted[:, cut].real).any()
-        assert not np.signbit(weighted[:, cut].imag).any()
+        tau = quadrature.half_line_nodes(level)
+        table = bessel_table(tau)
+        for d, exponents, terms, reach in blocks:
+            vals = eval_terms(d, exponents, table, terms)
+            cut = tau > reach
+            assert cut.any() and not vals[:, cut].any()
+            weighted = row * vals
+            assert np.isfinite(weighted).all() and not weighted[:, cut].any()
+            assert not np.signbit(weighted[:, cut].real).any()
+            assert not np.signbit(weighted[:, cut].imag).any()
     assert 9e300 < largest < 1e301
 
 

@@ -176,12 +176,10 @@ def test_time_points_runs_one_tree():
     rows = [line.split() for line in out.stdout.splitlines()]
     assert ["points", "all", "3"] in [row[:3] for row in rows]
     assert ["large-d", "all", "3"] in [row[:3] for row in rows]
-    # the last two columns: evaluations and nodes formed per point; the cut
-    # at the reach forms terms on at most every node a point evaluates
-    assert rows[1][-2:] == ["evals/pt", "nodes/pt"]
-    counts = {tuple(row[:2]): tuple(map(float, row[-2:])) for row in rows[2:]}
-    assert all(0.0 <= nodes <= evals for evals, nodes in counts.values())
-    assert counts["points", "all"][1] > 0 and counts["large-d", "all"][1] > 0
+    # the last column: integrand evaluations per point, at least the first
+    # step's 49 nodes
+    assert rows[1][-1] == "evals/pt"
+    assert all(float(row[-1]) >= 49.0 for row in rows[2:])
 
 
 def test_time_cli_runs_one_tree():

@@ -15,16 +15,14 @@ bit.  The inputs, in this order:
 * the sweeps of acceptance criterion 11: 401 points over [-d-1, d+1] at
   d = 1..7 with rel_tol 1e-10;
 * 61-point sweeps over [-d-2, d+2] at d = 4, 7, 20, 30, 40, 58, 80, 110
-  and 120; at d = 110 the weighted terms of the band overflow at the
-  smallest nodes while kbar^d alone does not yet (it does from
-  d ~ 117), so the dump also sees the arithmetic of d = 106..117;
+  and 120, on both contours and both sides of the band;
 * one sweep per d = 1..4 of the van Hove frequencies, then of each moved
   by 1, 10 and 10^4 ulps and by 1e-13, up, then down: the neighbourhoods
   where the value follows the local law of its van Hove point;
 * one sweep per d = 1, 3, 7, 40, 120, 300, 652 and 1,023 far outside the
   band, at omega = d(1 + 1e-9), d + 1e-3, 2d, 10d, 1e10, 1e100, 1e300 and
-  1.7e308, then at each negated: there the reach of the one term, past
-  which exp(q tau) is exactly 0, cuts from a few to every node of a level.
+  1.7e308, then at each negated: there exp(q tau) of the one term rounds
+  to exactly 0 from a few to every node of a level.
 
 4,455 records in all.
 

@@ -9,19 +9,13 @@ trees alternating which goes first.  An interpreter evaluates every
 the caches, then times each point's ``green_local`` call over 5 passes and
 keeps its best time; across rounds each point keeps its best again.  Then
 it runs one more pass under cProfile, which counts the function calls per
-point, and calls each point once more with ``green.eval_terms`` wrapped,
-and on the t0 contour ``green.eval_rays`` and ``green.eval_segment``
-(where a tree has them), which counts the nodes (rows x nodes) handed to
-them: counts that do not depend on the machine or its load.  The
-evaluations per point count every node of each level the point ran; the
-nodes per point count those it formed terms on, so their gap is what the
-cut at the reach skipped.
+point, and reads each result's integrand evaluations: counts that do not
+depend on the machine or its load.
 
 The report gives, per workload and per (set, d): the number of points,
-the p50, p90 and mean of the points' best times, the function calls, the
-integrand evaluations and the nodes formed per point, and, with two
-trees, B's mean over A's.  ``--limit N`` takes only the first N points of
-each workload.
+the p50, p90 and mean of the points' best times, the function calls and
+the integrand evaluations per point, and, with two trees, B's mean over
+A's.  ``--limit N`` takes only the first N points of each workload.
 
 These are best-of-passes times of single calls in a quiet process, which
 is where a change's cost shows first.  They are not the benchmark:
@@ -61,9 +55,9 @@ def pool_points(limit: int | None) -> list[tuple[str, str, int, float]]:
 
 
 def worker(limit: int | None) -> dict:
-    """In this interpreter: each point's best time, function calls,
-    evaluations and nodes formed."""
-    from latgreen import green, green_local
+    """In this interpreter: each point's best time, function calls and
+    evaluations."""
+    from latgreen import green_local
 
     points = pool_points(limit)
     for _, _, d, w in points:  # fill the caches
@@ -75,20 +69,7 @@ def worker(limit: int | None) -> dict:
             t0 = clock()
             green_local(d, w)
             best[i] = min(best[i], clock() - t0)
-    calls, evals, nodes = [], [], []
-    formed = []
-
-    def counted(fn, nodes_of):
-        def wrapper(d, rows, *args):
-            formed.append(len(rows) * nodes_of(*args))
-            return fn(d, rows, *args)
-        return wrapper
-
-    # each evaluator's rows, and the size of its node table
-    sizes = {"eval_terms": lambda table, weights: table.tau.size,
-             "eval_rays": lambda js, table: table.iz.size,
-             "eval_segment": lambda table: table.t.size}
-    plain = {name: getattr(green, name) for name in sizes if hasattr(green, name)}
+    calls, evals = [], []
     for _, _, d, w in points:
         prof = cProfile.Profile()
         prof.enable()
@@ -97,17 +78,7 @@ def worker(limit: int | None) -> dict:
         # less the one call of prof.disable itself
         calls.append(pstats.Stats(prof).total_calls - 1)
         evals.append(res.evaluations)
-        # outside the profile, so the wrapper adds no calls to its count
-        formed.clear()
-        for name, fn in plain.items():
-            setattr(green, name, counted(fn, sizes[name]))
-        try:
-            green_local(d, w)
-        finally:
-            for name, fn in plain.items():
-                setattr(green, name, fn)
-        nodes.append(sum(formed))
-    return {"best": best, "calls": calls, "evals": evals, "nodes": nodes}
+    return {"best": best, "calls": calls, "evals": evals}
 
 
 def run_tree(src: str, limit: int | None) -> dict:
@@ -134,7 +105,7 @@ def report(points, results: list[dict]) -> list[str]:
         groups.setdefault((workload, f"{name} d={d}"), []).append(i)
     head = f"{'workload':<8} {'group':<22} {'n':>4}"
     for tag in "AB"[:len(results)]:
-        head += f" | {tag} p50 ms  p90 ms mean ms calls/pt evals/pt nodes/pt"
+        head += f" | {tag} p50 ms  p90 ms mean ms calls/pt evals/pt"
     if len(results) == 2:
         head += " | B/A mean"
     lines = [head]
@@ -146,8 +117,7 @@ def report(points, results: list[dict]) -> list[str]:
             means.append(statistics.fmean(t))
             line += (f" | {statistics.median(t):8.3f} {percentile(t, 90):7.3f}"
                      f" {means[-1]:7.3f} {statistics.fmean(res['calls'][i] for i in idx):8.1f}"
-                     f" {statistics.fmean(res['evals'][i] for i in idx):8.1f}"
-                     f" {statistics.fmean(res['nodes'][i] for i in idx):8.1f}")
+                     f" {statistics.fmean(res['evals'][i] for i in idx):8.1f}")
         if len(results) == 2:
             line += f" | {means[1] / means[0]:8.3f}"
         lines.append(line)
