@@ -45,7 +45,7 @@ from .bessel import BesselPair
 from .contour import (
     CONTOUR_MIN_D, RayTable, SegmentTable, eval_rays, eval_segment, ray_table, segment_table,
 )
-from .integrand import admit, bessel_table, eval_terms, term_weights, van_hove_distance
+from .integrand import admit, bessel_table, eval_terms, van_hove_distance
 from .quadrature import (
     DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, half_line_nodes, integrate_half_line,
     integrate_segment, segment_nodes,
@@ -175,11 +175,10 @@ def green_sweep(d: int, omegas, cfg: QuadratureConfig | None = None) -> list[Gre
         lo, hi = js[order].searchsorted((0, d)).tolist()
         order, contour = np.concatenate((order[:lo], order[hi:])), order[lo:hi]
     if order.size:
-        rows_q = exponents[order]
-        weights = np.array([term_weights(d, j) for j in js[order].tolist()])
+        rows_j, rows_q = js[order], exponents[order]
 
         def f(level, cols):
-            return eval_terms(d, rows_q[cols], _bessel_nodes(level), weights[cols])
+            return eval_terms(d, rows_j[cols], rows_q[cols], _bessel_nodes(level))
 
         roundoff = max(2.0, d / 4)
         for i, res in zip(order.tolist(), integrate_half_line(f, order.size, cfg, roundoff)):

@@ -48,17 +48,16 @@ floats (``term_weights``); every piece of d <= 652 can be formed, and from
 d = 653 on ``term_weights`` raises ``DomainError`` for a band piece whose
 weights leave the double range (the evaluator forms none of them).  The
 Bessel pair is a ``BesselPair`` of arrays built once per set of nodes;
-``eval_terms`` evaluates any frequencies, of one piece or of many, as one
-term-major (frequencies x nodes) block, forming each term only on the rows
-whose weight for it is nonzero, so a frequency outside the band costs one
-term at any d.  A block also forms only the parities and the powers its
-terms have.  A part (real or imaginary) that no term reaches stays the
-scalar 0.0, which adds to the complex result exactly what a block of zeros
-would: the one term outside the band (m = d) is real, so such a row builds
-no imaginary block.  The m = d and m = 0 factors are ibar^d and kbar^d,
-since x**0 is exactly 1 and 1*x is exactly x.  So neither moves a bit.  A
-piece's slot list and each d's van Hove grid are built on first use and
-shared read-only.
+``eval_terms`` evaluates frequencies ordered by piece, each run of one
+piece as one (frequencies x nodes) block of that piece's terms alone, so
+a frequency outside the band costs one term at any d.  A run also forms
+only the parities and the powers its terms have.  A part (real or
+imaginary) that no term reaches stays the scalar 0.0, which adds to the
+complex result exactly what a block of zeros would: the one term outside
+the band (m = d) is real, so such a row builds no imaginary block.  The
+m = d and m = 0 factors are ibar^d and kbar^d, since x**0 is exactly 1
+and 1*x is exactly x.  So neither moves a bit.  A piece's terms and each
+d's van Hove grid are built on first use and shared read-only.
 
 Every frequency has one distance delta to its nearest van Hove frequency
 (``van_hove_distance``):
@@ -118,8 +117,9 @@ class IntegrandSpec(NamedTuple):
 
     @property
     def terms(self) -> tuple[int, ...]:
-        """The slots with a nonzero weight: the terms the piece forms."""
-        return _slots(self.weights.tobytes())
+        """The slots of the terms the piece forms (``_terms``): those with
+        a nonzero weight, in slot order."""
+        return tuple(k for k, _, _ in _terms(self.d, self.j))
 
 
 class TailKind(Enum):
@@ -242,76 +242,62 @@ def bessel_table(tau) -> BesselPair:
     return BesselPair(kbar=(2.0 / math.pi) * k0e(tau), ibar=2.0 * i0e(tau), tau=tau)
 
 
-def eval_terms(d: int, exponents: np.ndarray, table: BesselPair,
-               weights: np.ndarray) -> np.ndarray:
+def eval_terms(d: int, js: np.ndarray, exponents: np.ndarray,
+               table: BesselPair) -> np.ndarray:
     """Evaluate the integrand of several frequencies on one Bessel table.
 
-    Row r is a frequency with the slot exponents ``exponents[r]`` (see
-    ``term_exponents``) and weights ``weights[r]`` (``term_weights`` of its
-    piece), the rows ordered by piece.  Returns the complex (rows x nodes)
-    block ``(1/2^d) * sum_k w_k i^{(d+m) mod 2} kbar^{d-m} ibar^m
-    e^{exponent_k*tau}``, with 1/2^d applied last (see the module docstring).
+    Row r is a frequency of piece ``js[r]`` with the slot exponents
+    ``exponents[r]`` (see ``term_exponents``), the rows ordered by piece.
+    Returns the complex (rows x nodes) block ``(1/2^d) * sum_k w_k
+    i^{(d+m) mod 2} kbar^{d-m} ibar^m e^{exponent_k*tau}``, with 1/2^d
+    applied last (see the module docstring).
 
-    The weights pick the terms: the block forms the slots that are nonzero
-    in some row, in slot order, which is the formula's order, and each term
-    reaches the rows whose weight for it is nonzero.  Since the rows are
-    ordered by piece, those rows are one contiguous run.  So each row
-    receives the terms of its piece with the arithmetic and in the order of
-    a single frequency: it does not depend on the rows it is batched with,
-    and a term no row has is never formed.  A block whose first and last
-    rows have the same terms is of one piece; it reads its slot list from a
-    cache keyed by its weight row and scales each term by a scalar weight.
-    A mixed block forms each term on the rows that use it only.  Either
-    forms a term's exponent*tau products as it forms the term, so it holds
-    one term's (rows x nodes) block at a time, and forms only the parities
-    and the powers its terms have: a part no term reaches stays 0.0, and the
-    m = d and m = 0 factors are ibar^d and kbar^d, which moves no bit (see
-    the module docstring).  An underflowed term adds exactly +-0, and an
-    overflow shows as a non-finite value, which the quadrature flags.
+    Each run of rows of one piece is formed on its own from that piece's
+    terms (``_terms``), in slot order, which is the formula's order, each
+    scaled by its scalar weight.  So each row receives the terms of its
+    piece with the arithmetic and in the order of a single frequency: it
+    does not depend on the rows it is batched with, and a term its piece
+    lacks is never formed.  A run forms a term's exponent*tau products as
+    it forms the term, so it holds one term's (rows x nodes) block at a
+    time, and forms only the parities and the powers its terms have: a
+    part no term reaches stays 0.0, and the m = d and m = 0 factors are
+    ibar^d and kbar^d, which moves no bit (see the module docstring).  An
+    underflowed term adds exactly +-0, and an overflow shows as a
+    non-finite value, which the quadrature flags.
     """
-    tau, n = table.tau, len(weights)
-    # a piece is identified by its terms, and the rows are ordered by piece
-    mixed = n > 1 and ((weights[0] != 0.0) != (weights[-1] != 0.0)).any()
-    if mixed:
-        has = weights != 0.0
-        # slot k reaches the rows [lo[k], hi[k]), those weighing it nonzero;
-        # argmax is 0 also for a slot that no row has (has.any(0) is slower)
-        lo = has.argmax(0)
-        ks = np.flatnonzero(has[0] | (lo > 0)).tolist()
-        lo, hi = lo.tolist(), (n - has[::-1].argmax(0)).tolist()
-    else:
-        ks = _slots(weights[0].tobytes())
-    # the real and imaginary sums; one that no term reaches stays 0.0
-    acc = [0.0, 0.0]
-    # kbar^{d-m} ibar^m is shared by the two terms of each m
+    tau = table.tau
+    # the rows are ordered by piece: a block whose first and last rows
+    # share theirs is one run
+    cuts = [] if js[0] == js[-1] else (np.flatnonzero(js[1:] != js[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(js)]
+    blocks = []
+    # kbar^{d-m} ibar^m is shared by the two terms of each m, in every run
     factors = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in ks:
-            m = k if k <= d else k - d - 1
-            f = factors.get(m)
-            if f is None:
-                # no power of 0: x**0 is exactly 1 and 1*x is x
-                f = factors[m] = (table.ibar**d if m == d else table.kbar**d if m == 0
-                                  else table.kbar**(d - m) * table.ibar**m)
-            p = (d + m) & 1
-            if mixed:
-                if not isinstance(acc[p], np.ndarray):
-                    acc[p] = np.zeros((n, tau.size))
-                rows = slice(lo[k], hi[k])
-                q = exponents[rows, k, None] * tau
-                acc[p][rows] += weights[rows, k, None] * (f * np.exp(q))
-            else:
-                acc[p] += weights.item(0, k) * (f * np.exp(exponents[:, k, None] * tau))
-        re, im = acc
-        return (re + 1j * im) * 0.5**d
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = exponents[lo:hi]
+            # the real and imaginary sums; one that no term reaches stays 0.0
+            acc = [0.0, 0.0]
+            for k, m, w in _terms(d, int(js[lo])):
+                f = factors.get(m)
+                if f is None:
+                    # no power of 0: x**0 is exactly 1 and 1*x is x
+                    f = factors[m] = (table.ibar**d if m == d else table.kbar**d if m == 0
+                                      else table.kbar**(d - m) * table.ibar**m)
+                acc[(d + m) & 1] += w * (f * np.exp(rows[:, k, None] * tau))
+            re, im = acc
+            blocks.append((re + 1j * im) * 0.5**d)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @functools.lru_cache(maxsize=1024)
-def _slots(row: bytes) -> tuple[int, ...]:
-    """The slots with a nonzero weight in a weight row, given as its bytes:
-    the terms of its piece, in slot order, as a tuple shared by every
-    caller."""
-    return tuple(np.flatnonzero(np.frombuffer(row)).tolist())
+def _terms(d: int, j: int) -> tuple[tuple[int, int, float], ...]:
+    """The terms of piece j of dimension d: (slot, m, weight) for each slot
+    with a nonzero weight (``term_weights``), in slot order, as a tuple
+    shared by every caller."""
+    weights = term_weights(d, j)
+    return tuple((k, k if k <= d else k - d - 1, weights.item(k))
+                 for k in np.flatnonzero(weights).tolist())
 
 
 def eval_integrand(spec: IntegrandSpec, tau):
@@ -322,8 +308,8 @@ def eval_integrand(spec: IntegrandSpec, tau):
     a complex ndarray of tau's shape; a one-row call of ``eval_terms``.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    out = eval_terms(spec.d, spec.exponents[None], bessel_table(tau_arr.ravel()),
-                     spec.weights[None])[0]
+    out = eval_terms(spec.d, np.array([spec.j]), spec.exponents[None],
+                     bessel_table(tau_arr.ravel()))[0]
     return complex(out[0]) if tau_arr.ndim == 0 else out.reshape(tau_arr.shape)
 
 

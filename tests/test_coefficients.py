@@ -164,9 +164,7 @@ def test_staircase_consistent_with_sizes(d, omega):
 def test_zero_coefficients_are_the_outside_band_ones():
     # outside the band (j = -1 or d) only the m = d coefficient is nonzero,
     # inside it none of C m = 0..j, D m = 0..d-1-j is zero: eval_terms
-    # forms exactly the nonzero terms.  So no two pieces have the same
-    # terms, and the pieces having a term are one run of j, as eval_terms
-    # assumes of a block ordered by piece.
+    # forms exactly the nonzero terms of each row's piece (integrand._terms).
     for d in range(1, 121):
         for j in range(-1, d + 1):
             w = coefficient_table(d, j)

@@ -256,9 +256,9 @@ def test_one_integrand_call_per_level(monkeypatch, d, omega, calls):
     # after the first step
     tables = []
 
-    def eval_terms(d, exponents, table, weights):
+    def eval_terms(d, js, exponents, table):
         tables.append(table)
-        return integrand.eval_terms(d, exponents, table, weights)
+        return integrand.eval_terms(d, js, exponents, table)
 
     def eval_rays(d, omegas, js, table):
         tables.append(table)
@@ -288,9 +288,9 @@ def test_node_term_products_grow_at_most_linearly_in_d(monkeypatch, f):
     # nonzero weight, a ray row its d + 1 terms, and a segment row one
     products = [0]
 
-    def eval_terms(d, exponents, table, weights):
-        products[0] += int(np.count_nonzero(weights)) * table.tau.size
-        return integrand.eval_terms(d, exponents, table, weights)
+    def eval_terms(d, js, exponents, table):
+        products[0] += sum(len(integrand._terms(d, j)) for j in js.tolist()) * table.tau.size
+        return integrand.eval_terms(d, js, exponents, table)
 
     def eval_rays(d, omegas, js, table):
         products[0] += (d + 1) * len(omegas) * table.iz.size

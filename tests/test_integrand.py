@@ -253,14 +253,13 @@ def test_mixed_block_is_bitwise_per_piece(d):
     specs = [build_integrand(d, w) for w in omegas]
     js = np.array([s.j for s in specs])
     assert len(set(js)) >= 5 and np.all(np.diff(js) >= 0)
-    weights = np.array([term_weights(d, j) for j in js.tolist()])
     # slices of the one table of a level: the first step, the two halves
     # of level 4 and all of it, and the upper half of level 8
     first, level4, level8 = (half_line_nodes(level) for level in (0, 4, 8))
     half4 = level4.size // 2
     for tau in (first, level4[:half4], level4[half4:], level4, level8[level8.size // 2:]):
         table = bessel_table(tau)
-        got = eval_terms(d, term_exponents(d, omegas), table, weights)
+        got = eval_terms(d, js, term_exponents(d, omegas), table)
         for j in set(js.tolist()):
             rows = np.flatnonzero(js == j)
             ref = _per_piece_reference([specs[r] for r in rows], table)
@@ -293,32 +292,33 @@ def test_one_piece_row_is_bitwise_per_piece(d, j):
     spec = _piece_spec(d, j)
     for level in (0, 5):
         table = green._bessel_nodes(level)
-        got = eval_terms(d, spec.exponents[None], table, spec.weights[None])
+        got = eval_terms(d, np.array([j]), spec.exponents[None], table)
         assert got.tobytes() == _per_piece_reference([spec], table).tobytes()
 
 
 def test_slot_lists_and_van_hove_grids_are_cached_and_read_only():
-    # each piece's slot list is built once from its weight row, and each
-    # d's van Hove grid once, and every caller shares them; neither is
-    # built at import
+    # each piece's terms, its slots with their m and weight, are built
+    # once per (d, j), and each d's van Hove grid once, and every caller
+    # shares them; neither is built at import
     weights = term_weights(5, 2)
-    slots = integrand._slots(weights.tobytes())
-    assert slots == tuple(np.flatnonzero(weights).tolist())
-    assert isinstance(slots, tuple)
-    hits = integrand._slots.cache_info().hits
-    eval_terms(5, build_integrand(5, 0.5).exponents[None], green._bessel_nodes(0),
-               weights[None])
-    assert integrand._slots.cache_info().hits == hits + 1
+    terms = integrand._terms(5, 2)
+    assert tuple(k for k, _, _ in terms) == tuple(np.flatnonzero(weights).tolist())
+    assert isinstance(terms, tuple)
+    assert integrand._terms(5, 2) is terms
+    hits = integrand._terms.cache_info().hits
+    eval_terms(5, np.array([2]), build_integrand(5, 0.5).exponents[None],
+               green._bessel_nodes(0))
+    assert integrand._terms.cache_info().hits == hits + 1
     grid = integrand._van_hove_grid(5)
     assert integrand._van_hove_grid(5) is grid
     assert grid.tolist() == [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 1.0
-    assert integrand._slots.cache_info().maxsize == 1024
+    assert integrand._terms.cache_info().maxsize == 1024
     assert integrand._van_hove_grid.cache_info().maxsize == 1024
     code = ("import latgreen.integrand as i; "
-            "print(i._slots.cache_info().currsize, i._van_hove_grid.cache_info().currsize)")
+            "print(i._terms.cache_info().currsize, i._van_hove_grid.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(integrand.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
@@ -338,6 +338,13 @@ def test_term_weights_match_coefficients():
             spec = _piece_spec(d, j)
             assert spec.weights is weights
             assert spec.terms == tuple(k for k, w in enumerate(exact) if w)
+    # the terms a piece forms (_terms) are exactly its nonzero weights, as
+    # (slot, m, weight), in slot order
+    pieces = [(d, j) for d in range(1, 8) for j in range(-1, d + 1)]
+    for d, j in pieces + [(1023, -1), (1023, 1023)]:
+        exact = coefficient_table(d, j)
+        assert integrand._terms(d, j) == tuple(
+            (k, k if k <= d else k - d - 1, w) for k, w in enumerate(exact) if w)
 
 
 def test_term_weights_are_cached_and_read_only():

@@ -9,7 +9,7 @@ import pytest
 from latgreen.bessel import k0e
 from latgreen.errors import DomainError
 from latgreen.contour import ray_table, segment_table
-from latgreen.integrand import admit, bessel_table, eval_terms, term_weights, van_hove_distance
+from latgreen.integrand import admit, bessel_table, eval_terms, van_hove_distance
 from latgreen import green, quadrature
 from latgreen.green import green_sweep
 from latgreen.oracles import dos_normalization
@@ -244,8 +244,7 @@ def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero():
     blocks = []
     for d, omegas in ((3, [10.0, -10.0]), (7, [1e300]), (1023, [2046.0, -2046.0])):
         d, _, js, exponents = admit(d, omegas)
-        terms = np.array([term_weights(d, j) for j in js.tolist()])
-        blocks.append((d, exponents, terms, 746.0 / van_hove_distance(exponents).min()))
+        blocks.append((d, js, exponents, 746.0 / van_hove_distance(exponents).min()))
     largest = 0.0
     for level in (0, *range(quadrature._FIRST_LEVELS, quadrature._MAX_LEVELS + 1)):
         _, alphac, w, row, _ = quadrature._ts_nodes(level)
@@ -255,8 +254,8 @@ def test_half_line_weight_rows_are_finite_and_keep_a_cut_row_zero():
         largest = max(largest, row.max())
         tau = quadrature.half_line_nodes(level)
         table = bessel_table(tau)
-        for d, exponents, terms, reach in blocks:
-            vals = eval_terms(d, exponents, table, terms)
+        for d, js, exponents, reach in blocks:
+            vals = eval_terms(d, js, exponents, table)
             cut = tau > reach
             assert cut.any() and not vals[:, cut].any()
             weighted = row * vals

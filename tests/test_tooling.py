@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from latgreen import green, green_local, green_sweep
+from latgreen import green, green_local, green_sweep, integrand
 from latgreen.integrand import build_integrand, term_weights
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -35,6 +35,7 @@ def test_traced_layers_are_on_the_call_path():
     # a point on cold caches passes through every traced layer below it:
     # the coefficient table of its piece and the Bessel pair on the nodes
     term_weights.cache_clear()
+    integrand._terms.cache_clear()
     green._bessel_nodes.cache_clear()
     tracer = spans.Tracer()
     tracer.install()
@@ -166,8 +167,9 @@ def test_pool_values_are_right_or_flagged():
 
 
 def test_time_points_runs_one_tree():
-    # one round over the first three points of each workload, in fresh
-    # interpreters on this package's own sources
+    # one round over the first three points of each point workload and
+    # the cli workload's two sweeps, in fresh interpreters on this
+    # package's own sources
     src = os.path.dirname(os.path.dirname(green.__file__))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "time_points.py"), src,
                           "--rounds", "1", "--limit", "3"],
@@ -176,8 +178,9 @@ def test_time_points_runs_one_tree():
     rows = [line.split() for line in out.stdout.splitlines()]
     assert ["points", "all", "3"] in [row[:3] for row in rows]
     assert ["large-d", "all", "3"] in [row[:3] for row in rows]
-    # the last column: integrand evaluations per point, at least the first
-    # step's 49 nodes
+    assert ["cli", "all", "2"] in [row[:3] for row in rows]
+    # the last column: integrand evaluations per point or sweep, at least
+    # the first step's 49 nodes
     assert rows[1][-1] == "evals/pt"
     assert all(float(row[-1]) >= 49.0 for row in rows[2:])
 

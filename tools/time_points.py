@@ -1,26 +1,32 @@
-"""Time the benchmark's pool points in-process, for one or two source trees.
+"""Time the benchmark's pool points and cli sweeps in-process, for one or
+two source trees.
 
     python3 tools/time_points.py SRC_A [SRC_B] [--rounds N] [--limit N]
 
 Each SRC is a directory holding the ``latgreen`` package (a checkout's
 ``src``).  Every round runs each tree once in a fresh interpreter, the two
-trees alternating which goes first.  An interpreter evaluates every
-``points`` and ``large-d`` point of ``perfbench/pool.json`` once to fill
-the caches, then times each point's ``green_local`` call over 5 passes and
-keeps its best time; across rounds each point keeps its best again.  Then
-it runs one more pass under cProfile, which counts the function calls per
-point, and reads each result's integrand evaluations: counts that do not
-depend on the machine or its load.
+trees alternating which goes first.  An interpreter makes every call
+once to fill the caches: each ``points`` and ``large-d`` point of
+``perfbench/pool.json`` as one ``green_local`` call, and the ``cli``
+workload's two sweeps (``cli/sweep_d3``, 401 points, and
+``cli/sweep_d20``, 41) as one ``green_sweep`` call each, on the grid
+``latgreen sweep`` builds from their ends.  Then it times each call over
+5 passes and keeps its best time; across rounds each call keeps its best
+again.  Then it runs one more pass under cProfile, which counts the
+function calls per call, and reads the integrand evaluations of each
+call's results: counts that do not depend on the machine or its load.
 
-The report gives, per workload and per (set, d): the number of points,
-the p50, p90 and mean of the points' best times, the function calls and
-the integrand evaluations per point, and, with two trees, B's mean over
-A's.  ``--limit N`` takes only the first N points of each workload.
+The report gives, per workload and per (set, d): the number of calls,
+the p50, p90 and mean of the calls' best times, the function calls and
+the integrand evaluations per call (a point, or a whole sweep), and, with
+two trees, B's mean over A's.  ``--limit N`` takes only the first N calls
+of each workload.
 
 These are best-of-passes times of single calls in a quiet process, which
-is where a change's cost shows first.  They are not the benchmark:
-``perfbench/run.py`` times whole runs under its own rules, and its verdict
-is the one that counts.
+is where a change's cost shows first; a cli sweep's time leaves out the
+process start-up that ``tools/time_cli.py`` includes.  They are not the
+benchmark: ``perfbench/run.py`` times whole runs under its own rules, and
+its verdict is the one that counts.
 """
 from __future__ import annotations
 
@@ -34,16 +40,22 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOL = os.path.join(ROOT, "perfbench", "pool.json")
 
 # the pool's sets of each point workload, by name prefix
 WORKLOADS = {"points": "points/", "large-d": "large/"}
+# the cli workload's sweeps, in its order (perfbench/workloads.py)
+SWEEPS = ("cli/sweep_d3", "cli/sweep_d20")
 PASSES = 5
 
 
-def pool_points(limit: int | None) -> list[tuple[str, str, int, float]]:
-    """(workload, set, d, omega) of every point, in pool order."""
+def pool_calls(limit: int | None) -> list[tuple[str, str, int, float | np.ndarray]]:
+    """(workload, set, d, omega) of every call, in pool order: a point's
+    omega is its frequency, a sweep's the grid ``latgreen sweep`` builds
+    from its set's ends (``cli.cmd_sweep``)."""
     with open(POOL, encoding="utf-8") as fh:
         sets = json.load(fh)["sets"]
     points = []
@@ -51,34 +63,43 @@ def pool_points(limit: int | None) -> list[tuple[str, str, int, float]]:
         mine = [(workload, name[len(prefix):], d, w)
                 for name in sorted(sets) if name.startswith(prefix) for d, w in sets[name]]
         points += mine[:limit]
-    return points
+    sweeps = [("cli", name[len("cli/"):], sets[name][0][0],
+               np.linspace(sets[name][0][1], sets[name][-1][1], len(sets[name])))
+              for name in SWEEPS]
+    return points + sweeps[:limit]
 
 
 def worker(limit: int | None) -> dict:
-    """In this interpreter: each point's best time, function calls and
+    """In this interpreter: each call's best time, function calls and
     evaluations."""
-    from latgreen import green_local
+    from latgreen import green_local, green_sweep
 
-    points = pool_points(limit)
-    for _, _, d, w in points:  # fill the caches
-        green_local(d, w)
-    best = [float("inf")] * len(points)
+    def evaluator(w):
+        # a sweep's grid is an array, a point's frequency a float
+        return green_sweep if isinstance(w, np.ndarray) else green_local
+
+    calls = pool_calls(limit)
+    for _, _, d, w in calls:  # fill the caches
+        evaluator(w)(d, w)
+    best = [float("inf")] * len(calls)
     clock = time.perf_counter
     for _ in range(PASSES):
-        for i, (_, _, d, w) in enumerate(points):
+        for i, (_, _, d, w) in enumerate(calls):
+            f = evaluator(w)
             t0 = clock()
-            green_local(d, w)
+            f(d, w)
             best[i] = min(best[i], clock() - t0)
-    calls, evals = [], []
-    for _, _, d, w in points:
+    counts, evals = [], []
+    for _, _, d, w in calls:
+        f = evaluator(w)
         prof = cProfile.Profile()
         prof.enable()
-        res = green_local(d, w)
+        res = f(d, w)
         prof.disable()
         # less the one call of prof.disable itself
-        calls.append(pstats.Stats(prof).total_calls - 1)
-        evals.append(res.evaluations)
-    return {"best": best, "calls": calls, "evals": evals}
+        counts.append(pstats.Stats(prof).total_calls - 1)
+        evals.append(sum(r.evaluations for r in (res if isinstance(res, list) else [res])))
+    return {"best": best, "calls": counts, "evals": evals}
 
 
 def run_tree(src: str, limit: int | None) -> dict:
@@ -97,10 +118,10 @@ def percentile(values: list[float], q: int) -> float:
     return statistics.quantiles(values, n=100)[q - 1]
 
 
-def report(points, results: list[dict]) -> list[str]:
+def report(calls, results: list[dict]) -> list[str]:
     """The table: one row per workload, then per (set, d)."""
     groups: dict[tuple[str, str], list[int]] = {}
-    for i, (workload, name, d, _) in enumerate(points):
+    for i, (workload, name, d, _) in enumerate(calls):
         groups.setdefault((workload, "all"), []).append(i)
         groups.setdefault((workload, f"{name} d={d}"), []).append(i)
     head = f"{'workload':<8} {'group':<22} {'n':>4}"
@@ -130,7 +151,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="fresh interpreters per tree (default 3)")
     parser.add_argument("--limit", type=int, default=None,
-                        help="time only the first N points of each workload")
+                        help="time only the first N calls of each workload")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -149,9 +170,9 @@ def main(argv=None) -> int:
                 best[t] = res
             else:
                 best[t]["best"] = list(map(min, best[t]["best"], res["best"]))
-    print(f"{args.rounds} round(s), best of {PASSES} passes per point per round; "
+    print(f"{args.rounds} round(s), best of {PASSES} passes per call per round; "
           + "; ".join(f"{tag} = {os.path.abspath(src)}" for tag, src in zip("AB", args.src)))
-    print("\n".join(report(pool_points(args.limit), best)))
+    print("\n".join(report(pool_calls(args.limit), best)))
     return 0
 
 
